@@ -21,7 +21,7 @@ from .models import (
     UDEModel,
     train,
 )
-from .neuralnet import MLPArch, MLPParams, adam_step, forward, grad, init_params
+from .neuralnet import MLPArch, MLPParams, adam_step, forward, init_params
 from .odeint import (
     GompertzParams,
     Trajectory,

@@ -9,8 +9,12 @@ Three right-hand sides over the normalized state v(tau):
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
-target volumes. Gradients are exact: the whole solve is unrolled on the
-reverse-mode tape. Losses are reported on the normalized scale; a
+target volumes. Gradients are exact for the discrete solve: the float RK4
+pass that computes the loss records every stage input; one batched network
+pass over those inputs gives each stage's df/dv, a reverse sweep through
+the RK4 stages (`odeint.rk4_adjoint`) gives each stage's cotangent, and
+one batched vector-Jacobian product through the networks turns those into
+d loss / d theta. Losses are reported on the normalized scale; a
 physical-scale multiplier can be attached to the report for convenience.
 """
 
@@ -24,7 +28,6 @@ from typing import Union
 
 import numpy as np
 
-from . import autodiff as ad
 from .neuralnet import (
     AdamState,
     GradientError,
@@ -34,12 +37,23 @@ from .neuralnet import (
     adam_update,
     init_params_from_stream,
     mlp_apply,
+    mlp_batch,
+    mlp_input_derivative,
+    mlp_vjp,
     params_from_blob,
     params_to_blob,
     unpack_layers,
     value_and_grad,
 )
-from .odeint import DivergenceError, GompertzParams, Trajectory, gompertz_rhs, rk4_step, solve_fixed_grid
+from .odeint import (
+    DivergenceError,
+    GompertzParams,
+    Trajectory,
+    gompertz_rhs,
+    rk4_adjoint,
+    rk4_states,
+    solve_fixed_grid,
+)
 
 __all__ = [
     "GompertzModel",
@@ -227,21 +241,32 @@ class TrainingError(RuntimeError):
 # --- right-hand sides -------------------------------------------------
 
 
-def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
-    """Build f(t, v) for a model; operand-generic in the state v.
+def _networks(model, theta=None):
+    """Layer lists of the model's networks, from `theta` if given."""
+    if isinstance(model, NeuralODEModel):
+        net_theta = model.mlp.theta if theta is None else theta
+        return [unpack_layers(model.mlp.arch, net_theta)]
+    if theta is None:
+        th1, th2 = model.nn1.theta, model.nn2.theta
+    else:
+        n1 = model.nn1.arch.n_params
+        th1, th2 = theta[:n1], theta[n1:]
+    return [unpack_layers(model.nn1.arch, th1), unpack_layers(model.nn2.arch, th2)]
 
-    When `theta` is given (a flat vector or tape Var) it overrides the
-    stored network parameters, which is how the training loss rebuilds the
-    networks from the optimizer's current iterate. `clamp_counter`, a
-    one-element list, enables the state floor for Gompertz solves and
-    counts how often it fires.
+
+def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
+    """Build the float right-hand side f(t, v) of a model.
+
+    When `theta` (a flat vector) is given it overrides the stored network
+    parameters, which is how the training loss rebuilds the networks from
+    the optimizer's current iterate. `clamp_counter`, a one-element list,
+    enables the state floor for Gompertz solves and counts how often it
+    fires.
     """
     if isinstance(model, GompertzModel):
         p = model.params
 
         def f(t, v):
-            if isinstance(v, ad.Var):
-                return p.a * v * ad.log(p.K / v)
             if clamp_counter is not None and v < _STATE_FLOOR:
                 clamp_counter[0] += 1
                 v = _STATE_FLOOR
@@ -250,40 +275,16 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
         return f
 
     if isinstance(model, NeuralODEModel):
-        net_theta = model.mlp.theta if theta is None else theta
-        layers = unpack_layers(model.mlp.arch, net_theta)
+        (layers,) = _networks(model, theta)
         if model.time_input:
-
-            def f(t, v):
-                if isinstance(v, ad.Var):
-                    return mlp_apply(layers, ad.concat([v, np.array([t])]))
-                return float(mlp_apply(layers, np.array([v, t]))[0])
-
-        else:
-
-            def f(t, v):
-                if isinstance(v, ad.Var):
-                    return mlp_apply(layers, v)
-                return float(mlp_apply(layers, np.array([v]))[0])
-
-        return f
+            return lambda t, v: float(mlp_apply(layers, np.array([v, t]))[0])
+        return lambda t, v: float(mlp_apply(layers, np.array([v]))[0])
 
     if isinstance(model, UDEModel):
-        n1 = model.nn1.arch.n_params
-        n2 = model.nn2.arch.n_params
-        if theta is None:
-            th1, th2 = model.nn1.theta, model.nn2.theta
-        else:
-            th1 = ad.slice_reshape(theta, 0, n1, (n1,))
-            th2 = ad.slice_reshape(theta, n1, n1 + n2, (n2,))
-        layers1 = unpack_layers(model.nn1.arch, th1)
-        layers2 = unpack_layers(model.nn2.arch, th2)
+        layers1, layers2 = _networks(model, theta)
         time_input = model.time_input
 
         def f(t, v):
-            if isinstance(v, ad.Var):
-                x = ad.concat([v, np.array([t])]) if time_input else v
-                return mlp_apply(layers1, x) * v * mlp_apply(layers2, x)
             x = np.array([v, t]) if time_input else np.array([v])
             return float(mlp_apply(layers1, x)[0]) * v * float(mlp_apply(layers2, x)[0])
 
@@ -292,9 +293,55 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     raise TypeError(f"not a dynamics model: {model!r}")
 
 
-def rhs(model: DynamicsModel, v, tau: float = 0.0):
-    """Evaluate dv/dtau at one state; convenience wrapper over _make_rhs."""
-    return _make_rhs(model)(tau, v)
+def _network_batch(model, nets, v: np.ndarray, tau: np.ndarray):
+    """One `mlp_batch` pass per network over the points (v[i], tau[i])."""
+    X = np.column_stack([v, tau]) if model.time_input else v[:, None]
+    return [mlp_batch(layers, X) for layers in nets]
+
+
+def rhs(model: DynamicsModel, v, tau=0.0):
+    """dv/dtau at states v and times tau, scalars or arrays of one shape.
+
+    Array inputs are evaluated in one batched network pass; scalar inputs
+    give a float.
+    """
+    if isinstance(model, GompertzModel):
+        if np.ndim(v) == 0:
+            return gompertz_rhs(v, model.params)
+        v = np.asarray(v, dtype=float)
+        if np.any(v <= 0):
+            raise ValueError(f"Gompertz rhs requires V > 0, got min V={v.min()}")
+        return model.params.a * v * np.log(model.params.K / v)
+    if not isinstance(model, (NeuralODEModel, UDEModel)):
+        raise TypeError(f"not a dynamics model: {model!r}")
+    v_arr, tau_arr = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(tau, dtype=float))
+    flat_v = v_arr.ravel()
+    outs = [y[:, 0] for y, _ in _network_batch(model, _networks(model), flat_v, tau_arr.ravel())]
+    dv = outs[0] if isinstance(model, NeuralODEModel) else outs[0] * flat_v * outs[1]
+    return float(dv[0]) if v_arr.ndim == 0 else dv.reshape(v_arr.shape)
+
+
+def _rhs_linearization(model, nets, v: np.ndarray, tau: np.ndarray):
+    """df/dv at each point (v[i], tau[i]), and the map from cotangents on
+    the f values there to the flat gradient with respect to theta."""
+    passes = _network_batch(model, nets, v, tau)
+    if isinstance(model, NeuralODEModel):
+        (layers,), ((_, acts),) = nets, passes
+        jac = mlp_input_derivative(layers, acts)[:, 0]
+        return jac, lambda c: mlp_vjp(layers, acts, c[:, None])
+    # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
+    (layers1, layers2), ((y1, acts1), (y2, acts2)) = nets, passes
+    n1, n2 = y1[:, 0], y2[:, 0]
+    d1 = mlp_input_derivative(layers1, acts1)[:, 0]
+    d2 = mlp_input_derivative(layers2, acts2)[:, 0]
+    jac = d1 * v * n2 + n1 * n2 + n1 * v * d2
+
+    def vjp(c):
+        return np.concatenate(
+            [mlp_vjp(layers1, acts1, (c * v * n2)[:, None]), mlp_vjp(layers2, acts2, (c * n1 * v)[:, None])]
+        )
+
+    return jac, vjp
 
 
 def initial_state(model: DynamicsModel, v0: float) -> float:
@@ -324,7 +371,22 @@ def solve(model: DynamicsModel, v0: float, tau_span: tuple[float, float], steps:
 # --- collocation loss --------------------------------------------------
 
 
-def _check_data(data):
+@dataclass(frozen=True)
+class _Collocation:
+    """Checked collocation data and the RK4 grid that resolves it.
+
+    Target j is compared with (1 - weights[j]) * state[index[j]] +
+    weights[j] * state[index[j] + 1] of the solve on `times`.
+    """
+
+    times: np.ndarray
+    h: float
+    targets: list
+    index: list
+    weights: list
+
+
+def _collocation(data, config: TrainConfig) -> _Collocation:
     taus = np.array([t for t, _ in data], dtype=float)
     values = np.array([v for _, v in data], dtype=float)
     if taus.size < 2:
@@ -333,56 +395,68 @@ def _check_data(data):
         raise ValueError("collocation points must be sorted by strictly increasing tau")
     if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(values))):
         raise ValueError("collocation data must be finite")
-    return taus, values
-
-
-def _collocation_loss(model: DynamicsModel, theta, data_arrays, config: TrainConfig):
-    """MSE between the solved trajectory and the targets; tape-aware.
-
-    Returns a Var when theta is a Var, a plain float otherwise. The float
-    path raises DivergenceError exactly like the standalone solver.
-    """
-    taus, targets = data_arrays
-    t0, t1 = taus[0], taus[-1]
     n_steps = config.solver_steps
-    h = float((t1 - t0) / n_steps)
+    t0, t1 = taus[0], taus[-1]
     times = np.linspace(t0, t1, n_steps + 1)
-    tape = isinstance(theta, ad.Var)
-    counter = None if tape else [0]
-    f = _make_rhs(model, theta, clamp_counter=counter)
-
-    v0 = initial_state(model, float(targets[0]))
-    v = ad.const(np.array([v0])) if tape else v0
-    nodes = [v]
-    for i in range(n_steps):
-        v = rk4_step(f, times[i], v, h)
-        if not tape and not math.isfinite(v):
-            raise DivergenceError(step=i + 1, t=times[i + 1])
-        nodes.append(v)
-
     idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, n_steps - 1)
-    sq_errors = []
-    for j, tau, target in zip(idx, taus, targets):
-        w = float((tau - times[j]) / (times[j + 1] - times[j]))
-        v_hat = (1.0 - w) * nodes[j] + w * nodes[j + 1]
-        d = v_hat - float(target)
-        sq_errors.append(d * d)
-    return ad.add_n(sq_errors) * (1.0 / len(sq_errors))
+    weights = [float((tau - times[j]) / (times[j + 1] - times[j])) for j, tau in zip(idx, taus)]
+    return _Collocation(times, float((t1 - t0) / n_steps), values.tolist(), idx.tolist(), weights)
 
 
-def make_loss_fn(model: DynamicsModel, data, config: TrainConfig):
-    """Loss as a function of the flat parameter vector (Var or ndarray)."""
+def _collocation_loss(model: DynamicsModel, theta, grid: _Collocation, stages=None):
+    """(loss, residuals) of the float RK4 solve against the targets.
+
+    Raises DivergenceError exactly like the standalone solver. `stages`
+    collects the solve's stage inputs (see `odeint.rk4_step`).
+    """
+    f = _make_rhs(model, theta, clamp_counter=[0])
+    states = rk4_states(f, initial_state(model, grid.targets[0]), grid.times, grid.h, stages)
+    residuals = [
+        (1.0 - w) * states[j] + w * states[j + 1] - target
+        for j, w, target in zip(grid.index, grid.weights, grid.targets)
+    ]
+    return sum(d * d for d in residuals) * (1.0 / len(residuals)), residuals
+
+
+class _CollocationLoss:
+    """The collocation loss as a function of the flat parameter vector.
+
+    Calling it gives the loss; `value_and_grad` also gives its exact
+    gradient by the discrete adjoint described in the module docstring.
+    """
+
+    def __init__(self, model: DynamicsModel, grid: _Collocation):
+        self.model = model
+        self.grid = grid
+
+    def __call__(self, theta: np.ndarray) -> float:
+        return _collocation_loss(self.model, theta, self.grid)[0]
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        grid = self.grid
+        stages: list = []
+        value, residuals = _collocation_loss(self.model, theta, grid, stages)
+        g = (2.0 / len(residuals)) * np.array(residuals)
+        w = np.array(grid.weights)
+        state_bar = np.zeros(len(grid.times))
+        np.add.at(state_bar, grid.index, (1.0 - w) * g)
+        np.add.at(state_bar, np.array(grid.index) + 1, w * g)
+        stage_t, stage_v = np.array(stages).T
+        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), stage_v, stage_t)
+        return value, vjp(rk4_adjoint(state_bar, jac, grid.h))
+
+
+def make_loss_fn(model: DynamicsModel, data, config: TrainConfig) -> _CollocationLoss:
+    """Loss as a function of the flat parameter vector, with its gradient
+    available through `neuralnet.value_and_grad`."""
     if isinstance(model, GompertzModel):
         raise ValueError("the Gompertz variant has no trainable parameters")
-    arrays = _check_data(data)
-    return lambda theta: _collocation_loss(model, theta, arrays, config)
+    return _CollocationLoss(model, _collocation(data, config))
 
 
 def loss(model: DynamicsModel, data, config: TrainConfig) -> float:
     """Normalized MSE of the model's solved trajectory against `data`."""
-    arrays = _check_data(data)
-    out = _collocation_loss(model, None, arrays, config)
-    return float(np.asarray(out).reshape(()))
+    return _collocation_loss(model, None, _collocation(data, config))[0]
 
 
 # --- parameter vector helpers ------------------------------------------
@@ -470,7 +544,10 @@ def train(
             eval_index += 1
             theta, state = adam_update(theta, g, state)
 
-    final = float(np.asarray(loss_fn(theta)).reshape(()))
+    try:
+        final = loss_fn(theta)
+    except DivergenceError:
+        final = math.nan
     if not math.isfinite(final):
         raise TrainingError(
             f"{variant} training produced a non-finite final loss",

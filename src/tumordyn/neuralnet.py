@@ -2,9 +2,13 @@
 
 Parameters live in one flat vector per network (weights then bias for each
 consecutive layer pair, in order), initialization is Glorot-uniform drawn
-from a seeded xoshiro256** stream so runs are bit-reproducible, gradients
-come from the reverse-mode tape in `autodiff`, and updates use a plain
-full-batch Adam.
+from a seeded xoshiro256** stream so runs are bit-reproducible, and updates
+use a plain full-batch Adam. Besides the one-vector evaluation used inside
+the ODE solver, a network can be run on a whole batch of inputs at once
+(`mlp_batch`); its derivative with respect to the first input
+(`mlp_input_derivative`) and the vector-Jacobian product with respect to
+its parameters (`mlp_vjp`) then reuse that pass's activations. Losses
+built on these supply their own exact gradient to `value_and_grad`.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from . import autodiff as ad
 
 __all__ = [
     "Xoshiro256StarStar",
@@ -26,8 +28,10 @@ __all__ = [
     "init_params_from_stream",
     "unpack_layers",
     "mlp_apply",
+    "mlp_batch",
+    "mlp_input_derivative",
+    "mlp_vjp",
     "forward",
-    "grad",
     "value_and_grad",
     "adam_update",
     "adam_step",
@@ -161,7 +165,7 @@ class AdamState:
 
 
 class GradientError(ArithmeticError):
-    """Raised when backpropagation meets a non-finite intermediate."""
+    """Raised when a loss or its gradient is not finite."""
 
 
 def init_params_from_stream(arch: MLPArch, rng: Xoshiro256StarStar) -> MLPParams:
@@ -180,25 +184,60 @@ def init_params(arch: MLPArch, seed: int) -> MLPParams:
     return init_params_from_stream(arch, Xoshiro256StarStar(seed))
 
 
-def unpack_layers(arch: MLPArch, theta):
-    """Split a flat vector (ndarray or tape Var) into (W, b) per layer."""
-    layers = []
-    for w_start, w_stop, b_stop, shape in arch.layout():
-        W = ad.slice_reshape(theta, w_start, w_stop, shape)
-        b = ad.slice_reshape(theta, w_stop, b_stop, (shape[0],))
-        layers.append((W, b))
-    return layers
+def unpack_layers(arch: MLPArch, theta: np.ndarray):
+    """Split a flat parameter vector into (W, b) views per layer."""
+    return [
+        (theta[w_start:w_stop].reshape(shape), theta[w_stop:b_stop])
+        for w_start, w_stop, b_stop, shape in arch.layout()
+    ]
 
 
-def mlp_apply(layers, x):
+def mlp_apply(layers, x: np.ndarray) -> np.ndarray:
     """Affine + tanh per hidden layer, affine only on the output layer."""
     h = x
-    last = len(layers) - 1
-    for i, (W, b) in enumerate(layers):
-        h = ad.affine(W, b, h)
-        if i < last:
-            h = ad.tanh(h)
-    return h
+    for W, b in layers[:-1]:
+        h = np.tanh(W @ h + b)
+    W, b = layers[-1]
+    return W @ h + b
+
+
+def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Evaluate the network on every row of X (N, in_width) in one pass.
+
+    Returns the outputs (N, out_width) and the input of every layer (X,
+    then each hidden activation), which `mlp_input_derivative` and
+    `mlp_vjp` take back.
+    """
+    acts = [X]
+    for W, b in layers[:-1]:
+        acts.append(np.tanh(np.matmul(acts[-1], W.T) + b))
+    W, b = layers[-1]
+    return np.matmul(acts[-1], W.T) + b, acts
+
+
+def mlp_input_derivative(layers, acts) -> np.ndarray:
+    """d output / d X[:, 0] for every row of a `mlp_batch` pass, (N, out_width)."""
+    W0 = layers[0][0]
+    d = np.broadcast_to(W0[:, 0], (acts[0].shape[0], W0.shape[0]))
+    for (W, _), h in zip(layers[1:], acts[1:]):
+        d = np.matmul((1.0 - h * h) * d, W.T)
+    return d
+
+
+def mlp_vjp(layers, acts, G: np.ndarray) -> np.ndarray:
+    """Flat gradient of sum(G * outputs) for a `mlp_batch` pass.
+
+    G (N, out_width) is the cotangent on the outputs; the result is laid
+    out like the parameter vector and sums the contributions of all rows.
+    """
+    pieces = []
+    for i in range(len(layers) - 1, -1, -1):
+        a = acts[i]
+        pieces.append(G.sum(axis=0))
+        pieces.append(np.matmul(G.T, a).ravel())
+        if i:
+            G = np.matmul(G, layers[i][0]) * (1.0 - a * a)
+    return np.concatenate(pieces[::-1])
 
 
 def forward(params: MLPParams, x) -> np.ndarray:
@@ -210,34 +249,22 @@ def forward(params: MLPParams, x) -> np.ndarray:
 
 
 def value_and_grad(loss_fn, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """Evaluate loss_fn on a tape leaf for theta; return (value, d/dtheta).
+    """Return (loss_fn(theta), d loss_fn / d theta).
 
-    loss_fn must be built from the operations in `autodiff` (plus anything
-    operand-generic layered on them, such as the unrolled RK4 solver) and
-    return a size-1 value.
+    loss_fn supplies its own exact gradient through a
+    `value_and_grad(theta)` method, as the collocation losses built by
+    `models.make_loss_fn` do. Raises GradientError if the loss or any
+    gradient entry is not finite.
     """
     theta = np.asarray(theta, dtype=float)
-    leaf = ad.Var(theta, op="theta")
-    out = loss_fn(leaf)
-    if not isinstance(out, ad.Var):
-        # loss did not touch theta; gradient is identically zero
-        return float(np.asarray(out).reshape(())), np.zeros_like(theta)
-    value = float(out.value.reshape(()))
+    value, g = loss_fn.value_and_grad(theta)
+    value = float(value)
     if not np.isfinite(value):
-        where = ad.find_nonfinite(out)
-        raise GradientError(f"non-finite loss; first bad value at {where}")
-    ad.backward(out)
-    g = leaf.grad if leaf.grad is not None else np.zeros_like(theta)
-    if not np.all(np.isfinite(g)):
-        where = ad.find_nonfinite(out)
-        raise GradientError(f"non-finite gradient; first bad value at {where}")
+        raise GradientError(f"non-finite loss {value}")
+    bad = np.count_nonzero(~np.isfinite(g))
+    if bad:
+        raise GradientError(f"non-finite gradient in {bad} of {g.size} entries")
     return value, g
-
-
-def grad(loss_fn, params: MLPParams) -> np.ndarray:
-    """Exact reverse-mode gradient of loss_fn with respect to params.theta."""
-    _, g = value_and_grad(loss_fn, params.theta)
-    return g
 
 
 def adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:

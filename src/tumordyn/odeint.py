@@ -1,5 +1,11 @@
 """Fixed-step explicit ODE integration for scalar dynamics.
 
+One float RK4 kernel (`rk4_states`) serves every solve: the standalone
+solver and the training loss both step through it, and it can record the
+input of every stage so `rk4_adjoint` can later sweep back through the
+same discrete steps. That sweep is exact for the discrete solve
+("discretise-then-optimise"), not an approximation of a continuous adjoint.
+
 The Gompertz growth law and its closed-form solution live here too: the
 exact solution is the oracle every solver test is measured against.
 """
@@ -19,6 +25,8 @@ __all__ = [
     "gompertz_rhs",
     "gompertz_exact",
     "rk4_step",
+    "rk4_states",
+    "rk4_adjoint",
     "solve_fixed_grid",
     "integrate_rk4",
     "eval_at",
@@ -89,18 +97,75 @@ def gompertz_exact(t, V0: float, p: GompertzParams):
     return p.K * np.exp(np.log(V0 / p.K) * np.exp(-p.a * np.asarray(t, dtype=float)))
 
 
-def rk4_step(f, t, y, h):
+def rk4_step(f, t, y, h, stages=None):
     """One classical 4th-order Runge-Kutta step for dy/dt = f(t, y).
 
-    Operand-generic: y may be a float or an autodiff Var, so the solver
-    used for evaluation and the solver unrolled inside training losses are
-    literally the same arithmetic.
+    If `stages` is a list, the (time, state) input of each of the four
+    stages is appended to it, in stage order.
     """
+    t_mid = t + 0.5 * h
     k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
+    y2 = y + (0.5 * h) * k1
+    k2 = f(t_mid, y2)
+    y3 = y + (0.5 * h) * k2
+    k3 = f(t_mid, y3)
+    y4 = y + h * k3
+    k4 = f(t + h, y4)
+    if stages is not None:
+        stages.extend(((t, y), (t_mid, y2), (t_mid, y3), (t + h, y4)))
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_states(f, v0: float, times, h: float, stages=None) -> list[float]:
+    """States at `times` (uniformly spaced by h) of dv/dt = f(t, v) from v0.
+
+    Raises DivergenceError at the first non-finite state. `stages` is
+    passed on to `rk4_step`, so it collects 4 (time, state) pairs per step.
+    """
+    times = np.asarray(times, dtype=float).tolist()
+    v = float(v0)
+    states = [v]
+    for i in range(len(times) - 1):
+        v = rk4_step(f, times[i], v, h, stages)
+        if not math.isfinite(v):
+            raise DivergenceError(step=i + 1, t=times[i + 1])
+        states.append(v)
+    return states
+
+
+def rk4_adjoint(state_cotangents, stage_jacobians, h: float) -> np.ndarray:
+    """Reverse sweep through a scalar RK4 solve recorded by `rk4_states`.
+
+    state_cotangents[i] is the direct derivative of a scalar loss with
+    respect to state i (n + 1 entries); stage_jacobians holds df/dy at each
+    of the 4 n recorded stage inputs. Returns the derivative of the loss
+    with respect to each stage's value f, in the same order, so the
+    gradient with respect to any parameter of f is the sum over stages of
+    this cotangent times df/dparameter.
+    """
+    a_bar = np.asarray(state_cotangents, dtype=float).tolist()
+    jac = np.asarray(stage_jacobians, dtype=float).tolist()
+    n = len(a_bar) - 1
+    if len(jac) != 4 * n:
+        raise ValueError(f"{n} steps need {4 * n} stage Jacobians, got {len(jac)}")
+    out = [0.0] * (4 * n)
+    w1, w2, half = h / 6.0, h / 3.0, 0.5 * h
+    # step i maps y to y + h/6 (k1 + 2 k2 + 2 k3 + k4) with k_s = f(y_s),
+    # y_1 = y, y_2 = y + h/2 k1, y_3 = y + h/2 k2, y_4 = y + h k3; `a` is
+    # the total cotangent of the step's output state
+    a = a_bar[n]
+    for i in range(n - 1, -1, -1):
+        j1, j2, j3, j4 = jac[4 * i : 4 * i + 4]
+        k4_bar = w1 * a
+        y4_bar = k4_bar * j4
+        k3_bar = w2 * a + h * y4_bar
+        y3_bar = k3_bar * j3
+        k2_bar = w2 * a + half * y3_bar
+        y2_bar = k2_bar * j2
+        k1_bar = w1 * a + half * y2_bar
+        out[4 * i : 4 * i + 4] = (k1_bar, k2_bar, k3_bar, k4_bar)
+        a = a_bar[i] + a + k1_bar * j1 + y2_bar + y3_bar + y4_bar
+    return np.array(out)
 
 
 def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajectory:
@@ -110,17 +175,8 @@ def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajec
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     n_steps = int(n_steps)
-    h = (t1 - t0) / n_steps
     times = np.linspace(t0, t1, n_steps + 1)
-    states = np.empty(n_steps + 1)
-    v = float(v0)
-    states[0] = v
-    for i in range(n_steps):
-        v = rk4_step(f, times[i], v, h)
-        if not math.isfinite(v):
-            raise DivergenceError(step=i + 1, t=times[i + 1])
-        states[i + 1] = v
-    return Trajectory(times, states)
+    return Trajectory(times, rk4_states(f, v0, times, (t1 - t0) / n_steps))
 
 
 def integrate_rk4(rhs, V0: float, t0: float, t1: float, n_steps: int) -> Trajectory:

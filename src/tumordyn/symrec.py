@@ -22,7 +22,6 @@ import numpy as np
 
 from .dataio import NormalizationMap
 from .models import DynamicsModel, rhs, solve
-from .odeint import eval_at
 
 __all__ = [
     "BasisSet",
@@ -94,7 +93,8 @@ class SparseFit:
 
 
 class SparseRegressionError(RuntimeError):
-    """FISTA failed to converge; carries the residual-norm history."""
+    """FISTA failed to converge; carries the residual norm of every 1000th
+    iteration and of the last one."""
 
     def __init__(self, message: str, residual_history=()):
         self.residual_history = tuple(residual_history)
@@ -112,19 +112,18 @@ def sample_physical_derivatives(
     """(V mm^3, dV/dt mm^3/day) pairs along the model's solved trajectory.
 
     The model is solved over the normalized span from v0; at n uniform tau
-    points the state and its model derivative are denormalized with
-    dV/dt = (v_scale / t_scale) * dv/dtau and V = v_min + v * v_scale.
+    points the state (interpolated linearly between solution nodes) and its
+    model derivative, all n in one batched evaluation, are denormalized
+    with dV/dt = (v_scale / t_scale) * dv/dtau and V = v_min + v * v_scale.
     """
     if n < 10:
         raise ValueError(f"need at least 10 samples for a stable regression, got {n}")
     trajectory = solve(model, v0, (0.0, 1.0), solver_steps)
+    taus = np.linspace(0.0, 1.0, int(n))
+    v = np.interp(taus, trajectory.times, trajectory.states)
+    dv = rhs(model, v, taus)
     scale = norm_map.v_scale / norm_map.t_scale
-    samples = []
-    for tau in np.linspace(0.0, 1.0, int(n)):
-        v = eval_at(trajectory, float(tau))
-        dv = rhs(model, v, float(tau))
-        samples.append((float(norm_map.denormalize_v(v)), scale * float(dv)))
-    return samples
+    return list(zip(norm_map.denormalize_v(v).tolist(), (scale * dv).tolist()))
 
 
 def build_design_matrix(samples, basis: BasisSet) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +189,7 @@ def sparse_regress(
     t_momentum = 1.0
     residual_history = []
     converged = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
         g = 2.0 * (gram @ z - Xty)
         b_new = z - g / L
         if lam_s > 0:
@@ -204,7 +203,8 @@ def sparse_regress(
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
             z = b_new + ((t_momentum - 1.0) / t_new) * (b_new - b)
             t_momentum = t_new
-        residual_history.append(float(np.linalg.norm(X @ b_new - ys)))
+        if it % 1000 == 0 or it == max_iter - 1:
+            residual_history.append(float(np.linalg.norm(X @ b_new - ys)))
         if np.max(np.abs(b_new - b)) <= tol:
             b = b_new
             converged = True

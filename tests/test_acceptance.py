@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from conftest import SAMPLE_CSV, central_difference_gradient, make_collocation_data, max_relative_error
-from tumordyn import autodiff as ad
 from tumordyn.cli import run_all
 from tumordyn.config import load_config
 from tumordyn.forecast import SplitSpec, forecast
-from tumordyn.models import TrainConfig, train
-from tumordyn.neuralnet import MLPArch, init_params, mlp_apply, unpack_layers, value_and_grad
-from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs, integrate_rk4, rk4_step
+from tumordyn.models import NeuralODEModel, TrainConfig, make_loss_fn, train
+from tumordyn.neuralnet import MLPArch, init_params, value_and_grad
+from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs, integrate_rk4
 from tumordyn.symrec import (
     BasisSet,
     build_design_matrix,
@@ -70,39 +69,25 @@ def test_criterion_1_integrator_oracle():
 
 
 def test_criterion_2_gradient_oracle():
+    # a (1, 10, 10, 1) network solved with 8 RK4 steps of h = 0.1 from
+    # v0 = 0.1, compared with 5 targets at every second solution node
     arch = MLPArch((1, 10, 10, 1))
-    targets = np.linspace(0.1, 0.9, 5)
-
-    def make_loss(th):
-        layers = unpack_layers(arch, th)
-        tape = isinstance(th, ad.Var)
-
-        def f(t, v):
-            if tape:
-                return mlp_apply(layers, v)
-            return float(mlp_apply(layers, np.array([v]))[0])
-
-        v = ad.const(np.array([0.1])) if tape else 0.1
-        h = 0.1
-        states = [v]
-        for i in range(10):
-            v = rk4_step(f, i * h, v, h)
-            states.append(v)
-        sq = [(states[2 * i] - t) * (states[2 * i] - t) for i, t in enumerate(targets)]
-        return ad.add_n(sq) * (1.0 / len(sq))
+    data = list(zip(np.linspace(0.0, 0.8, 5).tolist(), np.linspace(0.1, 0.9, 5).tolist()))
+    config = TrainConfig(schedule=((0.01, 1),), solver_steps=8)
 
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        theta = init_params(arch, seed).theta
-        _, g_ad = value_and_grad(make_loss, theta)
-        g_fd = central_difference_gradient(make_loss, theta)
-        worst = max(worst, max_relative_error(g_ad, g_fd))
+        params = init_params(arch, seed)
+        loss_fn = make_loss_fn(NeuralODEModel(params), data, config)
+        _, g_adj = value_and_grad(loss_fn, params.theta)
+        g_fd = central_difference_gradient(loss_fn, params.theta)
+        worst = max(worst, max_relative_error(g_adj, g_fd))
     elapsed = time.perf_counter() - start
     assert worst < 1e-5
     assert elapsed < 10.0
     print(
-        f"ACCEPTANCE 2 [PASS] reverse-mode vs central differences over 20 seeds: "
+        f"ACCEPTANCE 2 [PASS] discrete adjoint vs central differences over 20 seeds: "
         f"max rel err {worst:.2e} < 1e-5, runtime {elapsed:.1f}s < 10s"
     )
 

@@ -22,7 +22,7 @@ from tumordyn.models import (
     train,
     variant_name,
 )
-from tumordyn.neuralnet import MLPArch, MLPParams, init_params
+from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, value_and_grad
 from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs
 
 TINY = TrainConfig(schedule=((0.01, 3),), seed=7, n_collocation=11, solver_steps=20, hidden=(4,))
@@ -68,6 +68,23 @@ class TestRhs:
         model = init_model("ude", TINY)
         assert rhs(model, 0.0) == 0.0
 
+    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
+    @pytest.mark.parametrize("time_input", [False, True])
+    def test_batched_matches_pointwise(self, variant, time_input):
+        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), hidden=(5, 5), time_input=time_input))
+        v = np.linspace(-0.2, 1.3, 7)
+        tau = np.linspace(0.0, 1.0, 7)
+        batched = rhs(model, v, tau)
+        assert batched.shape == (7,)
+        for vi, ti, fi in zip(v, tau, batched):
+            assert fi == pytest.approx(rhs(model, float(vi), float(ti)), rel=1e-13, abs=1e-15)
+
+    def test_gompertz_batched_rejects_nonpositive(self):
+        model = GompertzModel(GompertzParams(0.3, 1200.0))
+        assert np.allclose(rhs(model, np.array([100.0, 600.0])), [gompertz_rhs(V, model.params) for V in (100.0, 600.0)])
+        with pytest.raises(ValueError):
+            rhs(model, np.array([100.0, 0.0]))
+
     def test_ude_factorization(self):
         from tumordyn.neuralnet import forward
 
@@ -90,6 +107,16 @@ class TestLoss:
         data = flat_data(0.5)
         data[7] = (data[7][0], 0.5 + delta)
         assert loss(model, data, TINY) == pytest.approx(delta**2 / len(data), rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
+    def test_loss_fn_and_gradient_value_equal_loss_bitwise(self, variant):
+        data, _, _ = make_collocation_data(11)
+        template = init_model(variant, TINY)
+        theta = model_theta(template) + 0.01 * np.cos(np.arange(model_theta(template).size))
+        expected = loss(model_with_theta(template, theta), data, TINY)
+        loss_fn = make_loss_fn(template, data, TINY)
+        assert loss_fn(theta) == expected
+        assert value_and_grad(loss_fn, theta)[0] == expected
 
     def test_requires_sorted_data(self):
         model = init_model("neural_ode", TINY)
@@ -192,6 +219,32 @@ class TestTrain:
                 train("ude", data, wild)
         assert hasattr(err.value, "history")
 
+    def test_non_finite_gradient_becomes_training_error(self, monkeypatch):
+        import tumordyn.models as models_module
+
+        data, _, _ = make_collocation_data(11)
+        real_adjoint = models_module.rk4_adjoint
+        monkeypatch.setattr(models_module, "rk4_adjoint", lambda *a: real_adjoint(*a) * np.nan)
+        with pytest.raises(TrainingError) as err:
+            train("ude", data, TINY)
+        assert isinstance(err.value.__cause__, GradientError)
+        assert err.value.history == ()
+
+    @pytest.mark.parametrize("time_input", [False, True])
+    def test_ude_loss_gradient_matches_finite_differences(self, time_input):
+        data, _, _ = make_collocation_data(11)
+        worst = 0.0
+        for seed in range(3):
+            cfg = TrainConfig(schedule=((0.01, 1),), seed=seed, n_collocation=11, solver_steps=20,
+                              hidden=(6, 6), time_input=time_input)
+            template = init_model("ude", cfg)
+            loss_fn = make_loss_fn(template, data, cfg)
+            theta = model_theta(template)
+            _, g_adj = value_and_grad(loss_fn, theta)
+            g_fd = central_difference_gradient(loss_fn, theta)
+            worst = max(worst, max_relative_error(g_adj, g_fd))
+        assert worst < 1e-5
+
     def test_unknown_variant(self):
         data, _, _ = make_collocation_data(11)
         with pytest.raises(ValueError):
@@ -205,8 +258,6 @@ class TestTrain:
         for seed in range(5):
             theta = model_theta(init_model("neural_ode", TrainConfig(
                 schedule=((0.01, 1),), seed=seed, hidden=(4,))))
-            from tumordyn.neuralnet import value_and_grad
-
             _, g_ad = value_and_grad(loss_fn, theta)
             g_fd = central_difference_gradient(loss_fn, theta)
             worst = max(worst, max_relative_error(g_ad, g_fd))
@@ -227,8 +278,6 @@ class TestTimeInputToggle:
         assert rhs(model, 0.5, 0.0) != rhs(model, 0.5, 1.0)
 
     def test_trains_and_gradients_match_finite_differences(self):
-        from tumordyn.neuralnet import value_and_grad
-
         data, _, _ = make_collocation_data(11)
         template = init_model("neural_ode", self.CFG)
         loss_fn = make_loss_fn(template, data, self.CFG)

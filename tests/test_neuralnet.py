@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 from conftest import central_difference_gradient, max_relative_error
-from tumordyn import autodiff as ad
+from tumordyn.models import NeuralODEModel, TrainConfig, make_loss_fn
 from tumordyn.neuralnet import (
     AdamState,
+    GradientError,
     MLPArch,
     MLPParams,
     Xoshiro256StarStar,
     adam_step,
     adam_update,
     forward,
-    grad,
     init_params,
     load_params,
     mlp_apply,
+    mlp_batch,
+    mlp_input_derivative,
+    mlp_vjp,
     save_params,
     unpack_layers,
     value_and_grad,
 )
-from tumordyn.odeint import rk4_step
 
 
 class TestXoshiro:
@@ -91,59 +93,77 @@ class TestForward:
             forward(params, [1.0])
 
 
+class TestBatch:
+    def test_rows_match_single_vector_evaluation(self):
+        params = init_params(MLPArch((2, 7, 5, 3)), 4)
+        layers = unpack_layers(params.arch, params.theta)
+        X = np.linspace(-1.5, 2.0, 12).reshape(6, 2)
+        Y, acts = mlp_batch(layers, X)
+        assert Y.shape == (6, 3) and len(acts) == 3
+        for x, y in zip(X, Y):
+            assert np.allclose(y, mlp_apply(layers, x), rtol=1e-14, atol=1e-15)
+
+    def test_input_derivative_matches_finite_differences(self):
+        params = init_params(MLPArch((2, 6, 6, 2)), 8)
+        layers = unpack_layers(params.arch, params.theta)
+        X = np.array([[0.3, -1.0], [-0.7, 0.2], [1.1, 0.5]])
+        d = mlp_input_derivative(layers, mlp_batch(layers, X)[1])
+        step = np.array([1e-6, 0.0])
+        fd = (mlp_batch(layers, X + step)[0] - mlp_batch(layers, X - step)[0]) / 2e-6
+        assert max_relative_error(d, fd) < 1e-6
+
+    def test_single_layer_input_derivative_is_the_weight_column(self):
+        params = MLPParams(MLPArch((2, 1)), np.array([2.0, -3.0, 0.5]))
+        layers = unpack_layers(params.arch, params.theta)
+        d = mlp_input_derivative(layers, mlp_batch(layers, np.zeros((4, 2)))[1])
+        assert np.array_equal(d, np.full((4, 1), 2.0))
+
+
 class TestGrad:
-    def test_sum_of_squares(self):
-        params = init_params(MLPArch((1, 4, 1)), 3)
-        g = grad(lambda th: ad.total(th * th), params)
-        assert np.allclose(g, 2.0 * params.theta, rtol=1e-14)
-
-    def test_constant_loss_zero_gradient(self):
-        params = init_params(MLPArch((1, 3, 1)), 0)
-        assert np.array_equal(grad(lambda th: ad.const([3.0]), params), np.zeros(params.theta.size))
-
     def test_matches_finite_differences_on_forward_square(self):
         arch = MLPArch((1, 6, 6, 1))
         params = init_params(arch, 11)
-        x = np.array([0.7])
+        X = np.array([[0.7], [-0.2]])
 
         def loss_fn(th):
-            out = mlp_apply(unpack_layers(arch, th), x if not isinstance(th, ad.Var) else ad.const(x))
-            return out * out
+            out = mlp_batch(unpack_layers(arch, th), X)[0]
+            return float(np.sum(out * out))
 
-        g_ad = grad(loss_fn, params)
+        out, acts = mlp_batch(unpack_layers(arch, params.theta), X)
+        g = mlp_vjp(unpack_layers(arch, params.theta), acts, 2.0 * out)
         g_fd = central_difference_gradient(loss_fn, params.theta)
-        assert max_relative_error(g_ad, g_fd) < 1e-6
+        assert max_relative_error(g, g_fd) < 1e-6
 
     def test_matches_finite_differences_through_unrolled_solve(self):
-        # reverse-mode through a 10-step RK4 solve, 20 seeds
+        # the discrete adjoint through an 8-step RK4 solve, 20 seeds
         arch = MLPArch((1, 10, 10, 1))
-        targets = np.linspace(0.1, 0.9, 5)
-
-        def make_loss(th):
-            layers = unpack_layers(arch, th)
-            tape = isinstance(th, ad.Var)
-
-            def f(t, v):
-                if tape:
-                    return mlp_apply(layers, v)
-                return float(mlp_apply(layers, np.array([v]))[0])
-
-            v = ad.const(np.array([0.1])) if tape else 0.1
-            h = 0.1
-            states = [v]
-            for i in range(10):
-                v = rk4_step(f, i * h, v, h)
-                states.append(v)
-            sq = [(states[2 * i] - t) * (states[2 * i] - t) for i, t in enumerate(targets)]
-            return ad.add_n(sq) * (1.0 / len(sq))
+        data = list(zip(np.linspace(0.0, 0.8, 5).tolist(), np.linspace(0.1, 0.9, 5).tolist()))
+        config = TrainConfig(schedule=((0.01, 1),), solver_steps=8)
 
         worst = 0.0
         for seed in range(20):
-            theta = init_params(arch, seed).theta
-            _, g_ad = value_and_grad(make_loss, theta)
-            g_fd = central_difference_gradient(make_loss, theta)
-            worst = max(worst, max_relative_error(g_ad, g_fd))
+            params = init_params(arch, seed)
+            loss_fn = make_loss_fn(NeuralODEModel(params), data, config)
+            _, g_adj = value_and_grad(loss_fn, params.theta)
+            g_fd = central_difference_gradient(loss_fn, params.theta)
+            worst = max(worst, max_relative_error(g_adj, g_fd))
         assert worst < 1e-5
+
+    def test_non_finite_gradient_raises(self):
+        class Loss:
+            def value_and_grad(self, theta):
+                return 1.0, np.array([0.0, np.inf, np.nan])
+
+        with pytest.raises(GradientError, match="2 of 3"):
+            value_and_grad(Loss(), np.zeros(3))
+
+    def test_non_finite_loss_raises(self):
+        class Loss:
+            def value_and_grad(self, theta):
+                return np.nan, np.zeros(3)
+
+        with pytest.raises(GradientError):
+            value_and_grad(Loss(), np.zeros(3))
 
 
 class TestAdam:

@@ -11,6 +11,8 @@ from tumordyn.odeint import (
     gompertz_exact,
     gompertz_rhs,
     integrate_rk4,
+    rk4_adjoint,
+    rk4_states,
     write_trajectory_csv,
 )
 
@@ -98,6 +100,37 @@ class TestIntegrateRk4:
     def test_started_at_capacity_stays(self):
         traj = integrate_rk4(lambda v: gompertz_rhs(v, P), P.K, 0.0, 10.0, 100)
         assert np.max(np.abs(traj.states - P.K)) <= 1e-12 * P.K
+
+
+class TestAdjoint:
+    def test_records_four_stages_per_step(self):
+        stages = []
+        states = rk4_states(lambda t, v: -v, 1.0, [0.0, 0.5, 1.0], 0.5, stages)
+        assert len(states) == 3 and len(stages) == 8
+        assert [t for t, _ in stages] == [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0]
+        assert stages[0] == (0.0, 1.0) and stages[4] == (0.5, states[1])
+
+    def test_linear_growth_rate_derivative_is_exact(self):
+        # dv/dt = lam * v: RK4 multiplies by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
+        # per step (z = lam h), so d v_n / d lam = v0 n R^(n-1) R'(z) h, and
+        # the stage cotangents times df/dlam = stage state must sum to that
+        lam, h, n, v0 = -1.3, 0.1, 12, 2.0
+        times = np.linspace(0.0, n * h, n + 1)
+        stages = []
+        states = rk4_states(lambda t, v: lam * v, v0, times, h, stages)
+        z = lam * h
+        R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        dR = 1 + z + z**2 / 2 + z**3 / 6
+        assert states[-1] == pytest.approx(v0 * R**n, rel=1e-14)
+        seed = np.zeros(n + 1)
+        seed[-1] = 1.0
+        cot = rk4_adjoint(seed, np.full(4 * n, lam), h)
+        dv_dlam = float(cot @ np.array([y for _, y in stages]))
+        assert dv_dlam == pytest.approx(v0 * n * R ** (n - 1) * dR * h, rel=1e-13)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            rk4_adjoint(np.zeros(3), np.zeros(4), 0.1)
 
 
 class TestEvalAt:

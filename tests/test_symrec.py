@@ -9,6 +9,7 @@ from tumordyn.odeint import GompertzParams
 from tumordyn.symrec import (
     BasisSet,
     SparseFit,
+    SparseRegressionError,
     build_design_matrix,
     default_lambda,
     format_expression,
@@ -147,6 +148,15 @@ class TestSparseRegress:
             assert b <= a * (1 + 1e-9) + 1e-12
         for a, b in zip(residuals, residuals[1:]):
             assert b >= a * (1 - 1e-9) - 1e-12
+
+    def test_non_convergence_carries_a_finite_history(self):
+        Phi = BASIS.evaluate(V_GRID)
+        y = Phi @ np.array([0.0, -7.88, 11.1, 0.0])
+        with pytest.raises(SparseRegressionError) as err:
+            sparse_regress(Phi, y, max_iter=5)
+        history = err.value.residual_history
+        assert len(history) == 2  # the first iteration and the last
+        assert all(math.isfinite(r) and r > 0 for r in history)
 
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
