@@ -21,11 +21,10 @@ from .models import (
     UDEModel,
     train,
 )
-from .neuralnet import MLPArch, MLPParams, adam_step, forward, init_params
+from .neuralnet import MLPArch, MLPParams, init_params
 from .odeint import (
     GompertzParams,
     Trajectory,
-    eval_at,
     gompertz_exact,
     gompertz_rhs,
     integrate_rk4,

@@ -21,6 +21,7 @@ succeeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -118,9 +119,7 @@ def stage_gompertz(config: RunConfig, ctx: _SubjectContext) -> dict:
 
 def _train_stage(config: RunConfig, ctx: _SubjectContext, variant: str):
     train_config = config.node_config() if variant == "neural_ode" else config.ude_config()
-    model, report = models.train(
-        variant, ctx.data, train_config, physical_scale=ctx.norm_map.v_scale**2
-    )
+    model, report = models.train(variant, ctx.data, train_config)
     models.write_report_csv(report, ctx.out_dir / f"{variant}_fit.csv")
     models.save_model(model, ctx.out_dir / f"{variant}.ckpt.json", seed=config.seed)
 
@@ -139,14 +138,15 @@ def _train_stage(config: RunConfig, ctx: _SubjectContext, variant: str):
         [(label, list(predicted)), ("interpolated target", list(target_volumes))],
         PlotStyle(f"{label} fit", "time [days]", "volume [mm^3]"),
     )
+    physical_scale = ctx.norm_map.v_scale**2
     chunk = {
         "initial_loss": report.initial_loss,
         "final_loss": report.final_loss,
         "best_loss": report.best_loss,
         "best_epoch": report.best_epoch,
-        "initial_loss_physical": report.initial_loss_physical,
-        "final_loss_physical": report.final_loss_physical,
-        "best_loss_physical": report.best_loss_physical,
+        "initial_loss_physical": report.initial_loss * physical_scale,
+        "final_loss_physical": report.final_loss * physical_scale,
+        "best_loss_physical": report.best_loss * physical_scale,
         "epochs": len(report.loss_history),
     }
     return model, chunk
@@ -179,16 +179,16 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext) -> list[dict]:
         ["neural_ode", "ude"],
         config.fractions,
         configs,
-        n_collocation=config.n_collocation,
         on_cell=write_cell_artifacts,
     )
     write_suite_csv(rows, ctx.subject_id, ctx.out_dir / "forecast.csv")
+    # a failed cell's losses are NaN in forecast.csv and null in summary.json
     return [
         {
             "variant": r.variant,
             "fraction": r.fraction,
-            "train_loss": r.train_loss,
-            "test_mse": r.test_mse,
+            "train_loss": None if r.error else r.train_loss,
+            "test_mse": None if r.error else r.test_mse,
             "error": r.error,
         }
         for r in rows
@@ -272,29 +272,16 @@ def run_subject(config: RunConfig, subject_id: int) -> dict:
             summary["recovered"][variant] = None
 
     with open(ctx.out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
     with open(ctx.out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
+        json.dump(timings, fh, indent=2, sort_keys=True, allow_nan=False)
     return summary
 
 
-def run_all(config: RunConfig) -> list[dict]:
-    """run_subject for every configured subject, plus aggregate tables."""
-    out_root = Path(config.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for sid in config.subjects:
-        try:
-            summaries.append(run_subject(config, sid))
-        except Exception as exc:  # noqa: BLE001 - subject isolation
-            summaries.append(
-                {"subject": sid, "errors": [{"stage": "prepare", "error": f"{type(exc).__name__}: {exc}"}]}
-            )
-
-    import csv as _csv
-
-    with open(out_root / "table_results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+def write_results_table(summaries, path) -> None:
+    """Per-subject best losses and recovered expressions."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
         writer.writerow(["subject", "node_loss", "ude_loss", "node_expression", "ude_expression"])
         for s in summaries:
             node = s.get("neural_ode") or {}
@@ -310,9 +297,13 @@ def run_all(config: RunConfig) -> list[dict]:
                 ]
             )
 
+
+def write_forecast_summary(config: RunConfig, summaries, path) -> None:
+    """Held-out MSE per subject, variant and training fraction; a missing
+    or failed cell is an empty field."""
     pcts = [int(round(f * 100)) for f in config.fractions]
-    with open(out_root / "forecast_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
         header = ["subject", "K"]
         for variant in ("neural_ode", "ude"):
             header += [f"{variant}_{pct}" for pct in pcts]
@@ -328,6 +319,23 @@ def run_all(config: RunConfig) -> list[dict]:
                     value = cells.get((variant, pct))
                     row.append("" if value is None else repr(value))
             writer.writerow(row)
+
+
+def run_all(config: RunConfig) -> list[dict]:
+    """run_subject for every configured subject, plus aggregate tables."""
+    out_root = Path(config.out_dir)
+    out_root.mkdir(parents=True, exist_ok=True)
+    summaries = []
+    for sid in config.subjects:
+        try:
+            summaries.append(run_subject(config, sid))
+        except Exception as exc:  # noqa: BLE001 - subject isolation
+            summaries.append(
+                {"subject": sid, "errors": [{"stage": "prepare", "error": f"{type(exc).__name__}: {exc}"}]}
+            )
+
+    write_results_table(summaries, out_root / "table_results.csv")
+    write_forecast_summary(config, summaries, out_root / "forecast_summary.csv")
     return summaries
 
 

@@ -5,7 +5,10 @@ the defaults below, so a bare run reproduces the standard pipeline
 (Gompertz baseline a=0.3, K=1200; neural ODE with hidden widths
 [128, 128, 64, 64] trained 500 epochs at lr 0.01; UDE with two [10, 10]
 networks trained through the lr schedule 0.01/0.005/0.001 for
-1000/1000/500 epochs; forecasts at 90/80/70% training fractions).
+1000/1000/500 epochs; forecasts at 90/80/70% training fractions). A key
+the loader does not know, at the top level or inside a section, is an
+error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
+never falls back to a default unnoticed.
 
 Example:
 
@@ -22,12 +25,18 @@ Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
 import yaml
 
-from .models import DEFAULT_NEURAL_ODE_HIDDEN, DEFAULT_UDE_HIDDEN, TrainConfig
+from .models import (
+    DEFAULT_NEURAL_ODE_HIDDEN,
+    DEFAULT_NEURAL_ODE_SCHEDULE,
+    DEFAULT_UDE_HIDDEN,
+    DEFAULT_UDE_SCHEDULE,
+    TrainConfig,
+)
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -44,9 +53,9 @@ class RunConfig:
     gompertz_a: float = 0.3
     gompertz_K: float = 1200.0
     node_hidden: tuple[int, ...] = DEFAULT_NEURAL_ODE_HIDDEN
-    node_schedule: tuple[tuple[float, int], ...] = ((0.01, 500),)
+    node_schedule: tuple[tuple[float, int], ...] = DEFAULT_NEURAL_ODE_SCHEDULE
     ude_hidden: tuple[int, ...] = DEFAULT_UDE_HIDDEN
-    ude_schedule: tuple[tuple[float, int], ...] = ((0.01, 1000), (0.005, 1000), (0.001, 500))
+    ude_schedule: tuple[tuple[float, int], ...] = DEFAULT_UDE_SCHEDULE
     fractions: tuple[float, ...] = (0.9, 0.8, 0.7)
     recover_n_samples: int = 101
     recover_lambda: float | None = None  # None = data-driven default
@@ -68,7 +77,6 @@ class RunConfig:
         return TrainConfig(
             schedule=self.node_schedule,
             seed=self.seed,
-            n_collocation=self.n_collocation,
             solver_steps=self.solver_steps,
             hidden=self.node_hidden,
             time_input=self.time_input,
@@ -78,7 +86,6 @@ class RunConfig:
         return TrainConfig(
             schedule=self.ude_schedule,
             seed=self.seed,
-            n_collocation=self.n_collocation,
             solver_steps=self.solver_steps,
             hidden=self.ude_hidden,
             time_input=self.time_input,
@@ -87,28 +94,50 @@ class RunConfig:
     def basis_K(self, subject_id: int) -> float:
         return float(self.basis_K_by_subject.get(int(subject_id), self.basis_K_default))
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            if isinstance(value, dict):
-                value = {str(k): v for k, v in sorted(value.items())}
-            out[f.name] = value
-        return out
+
+def _schedule(stages):
+    return tuple(tuple(s) for s in stages)
 
 
-def _get(mapping: dict, key: str, default):
-    value = mapping.get(key, default)
-    return default if value is None else value
+def _lambda(value):
+    if isinstance(value, str):
+        if value != "auto":
+            raise ValueError(f"recover.lambda must be a number or 'auto', got {value!r}")
+        return None
+    return float(value)
+
+
+# YAML key, as (key,) or (section, key) -> (RunConfig field, conversion)
+_KEYS = {
+    ("data",): ("data_path", str),
+    ("subjects",): ("subjects", tuple),
+    ("out_dir",): ("out_dir", str),
+    ("seed",): ("seed", int),
+    ("n_collocation",): ("n_collocation", int),
+    ("solver_steps",): ("solver_steps", int),
+    ("time_input",): ("time_input", bool),
+    ("gompertz", "a"): ("gompertz_a", float),
+    ("gompertz", "K"): ("gompertz_K", float),
+    ("neural_ode", "hidden"): ("node_hidden", tuple),
+    ("neural_ode", "schedule"): ("node_schedule", _schedule),
+    ("ude", "hidden"): ("ude_hidden", tuple),
+    ("ude", "schedule"): ("ude_schedule", _schedule),
+    ("forecast", "fractions"): ("fractions", tuple),
+    ("recover", "n_samples"): ("recover_n_samples", int),
+    ("recover", "lambda"): ("recover_lambda", _lambda),
+    ("recover", "sig_figs"): ("sig_figs", int),
+    ("recover", "K"): ("basis_K_default", float),
+    ("recover", "K_by_subject"): ("basis_K_by_subject", lambda m: {int(k): float(v) for k, v in m.items()}),
+}
+_SECTIONS = {key[0] for key in _KEYS if len(key) == 2}
 
 
 def load_config(path=None, **overrides) -> RunConfig:
     """Build a RunConfig from a YAML file plus keyword overrides.
 
     Overrides (e.g. subjects=..., out_dir=..., seed=...) win over the file,
-    which wins over the defaults.
+    which wins over the defaults; a null value counts as omitted. Raises
+    ValueError naming every key the file sets that the loader does not know.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -117,39 +146,22 @@ def load_config(path=None, **overrides) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValueError(f"config root must be a mapping, got {type(raw).__name__}")
 
-    base = RunConfig()
-    gom = raw.get("gompertz") or {}
-    node = raw.get("neural_ode") or {}
-    ude = raw.get("ude") or {}
-    fore = raw.get("forecast") or {}
-    rec = raw.get("recover") or {}
+    items = []
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            items.append(((key,), value))
+        elif value is not None:
+            if not isinstance(value, dict):
+                raise ValueError(f"config section {key} must be a mapping, got {type(value).__name__}")
+            items += [((key, sub), v) for sub, v in value.items()]
+    unknown = [".".join(map(str, key)) for key, _ in items if key not in _KEYS]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
-    lam = rec.get("lambda", "auto")
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise ValueError(f"recover.lambda must be a number or 'auto', got {lam!r}")
-        lam = None
-
-    kwargs: dict[str, Any] = dict(
-        data_path=_get(raw, "data", base.data_path),
-        subjects=tuple(_get(raw, "subjects", base.subjects)),
-        out_dir=_get(raw, "out_dir", base.out_dir),
-        seed=int(_get(raw, "seed", base.seed)),
-        n_collocation=int(_get(raw, "n_collocation", base.n_collocation)),
-        solver_steps=int(_get(raw, "solver_steps", base.solver_steps)),
-        time_input=bool(_get(raw, "time_input", base.time_input)),
-        gompertz_a=float(_get(gom, "a", base.gompertz_a)),
-        gompertz_K=float(_get(gom, "K", base.gompertz_K)),
-        node_hidden=tuple(_get(node, "hidden", base.node_hidden)),
-        node_schedule=tuple(tuple(s) for s in _get(node, "schedule", base.node_schedule)),
-        ude_hidden=tuple(_get(ude, "hidden", base.ude_hidden)),
-        ude_schedule=tuple(tuple(s) for s in _get(ude, "schedule", base.ude_schedule)),
-        fractions=tuple(_get(fore, "fractions", base.fractions)),
-        recover_n_samples=int(_get(rec, "n_samples", base.recover_n_samples)),
-        recover_lambda=None if lam is None else float(lam),
-        sig_figs=int(_get(rec, "sig_figs", base.sig_figs)),
-        basis_K_default=float(_get(rec, "K", base.basis_K_default)),
-        basis_K_by_subject={int(k): float(v) for k, v in _get(rec, "K_by_subject", {}).items()},
-    )
+    kwargs: dict[str, Any] = {}
+    for key, value in items:
+        if value is not None:
+            name, convert = _KEYS[key]
+            kwargs[name] = convert(value)
     kwargs.update(overrides)
     return RunConfig(**kwargs)

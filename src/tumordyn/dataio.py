@@ -18,6 +18,7 @@ smooth training target between sparse measurements.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +163,11 @@ _HEADER = ["id", "time_days", "volume_mm3"]
 
 
 def load_series(path, subject_id: int) -> TumorSeries:
-    """Read one subject's rows, sorted by time; duplicate times are rejected."""
+    """Read one subject's rows, sorted by time.
+
+    A row whose fields do not parse or are not finite, in any subject, and a
+    duplicated time of this subject raise CsvFormatError naming the line.
+    """
     rows = []  # (line_no, time, volume)
     seen_ids = set()
     header_seen = False
@@ -188,6 +193,8 @@ def load_series(path, subject_id: int) -> TumorSeries:
                 v = float(parts[2])
             except ValueError:
                 raise CsvFormatError(line_no, f"bad numeric value in {line!r}") from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise CsvFormatError(line_no, f"non-finite value in {line!r}")
             seen_ids.add(sid)
             if sid == subject_id:
                 rows.append((line_no, t, v))

@@ -22,7 +22,6 @@ from .models import (
     loss as model_loss,
     solve,
     train,
-    variant_name,
 )
 from .odeint import GompertzParams, Trajectory
 
@@ -43,13 +42,10 @@ _SPLIT_EPS = 1e-9  # absorbs float dust when comparing grid taus to the fraction
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
-    n_collocation: int = 21
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
-        if self.n_collocation < 2:
-            raise ValueError(f"need at least 2 collocation points, got {self.n_collocation}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,6 @@ def forecast_suite(
     fractions,
     configs: dict[str, TrainConfig],
     gompertz: GompertzParams | None = None,
-    n_collocation: int = 21,
     on_cell=None,
 ) -> list[SuiteRow]:
     """Evaluate every (variant, fraction) cell; failures become error rows.
@@ -147,7 +142,7 @@ def forecast_suite(
     rows = []
     for variant in sorted(variants):
         for fraction in sorted(fractions):
-            spec = SplitSpec(train_fraction=fraction, n_collocation=n_collocation)
+            spec = SplitSpec(train_fraction=fraction)
             try:
                 result = forecast(variant, data, spec, configs[variant], gompertz=gompertz)
                 if on_cell is not None:

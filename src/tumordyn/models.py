@@ -14,12 +14,12 @@ pass that computes the loss records every stage input; one batched network
 pass over those inputs gives each stage's df/dv, a reverse sweep through
 the RK4 stages (`odeint.rk4_adjoint`) gives each stage's cotangent, and
 one batched vector-Jacobian product through the networks turns those into
-d loss / d theta. Losses are reported on the normalized scale; a
-physical-scale multiplier can be attached to the report for convenience.
+d loss / d theta. Losses are reported on the normalized scale.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -65,6 +65,8 @@ __all__ = [
     "TrainingError",
     "DEFAULT_NEURAL_ODE_HIDDEN",
     "DEFAULT_UDE_HIDDEN",
+    "DEFAULT_NEURAL_ODE_SCHEDULE",
+    "DEFAULT_UDE_SCHEDULE",
     "variant_name",
     "rhs",
     "solve",
@@ -82,6 +84,8 @@ __all__ = [
 
 DEFAULT_NEURAL_ODE_HIDDEN = (128, 128, 64, 64)
 DEFAULT_UDE_HIDDEN = (10, 10)
+DEFAULT_NEURAL_ODE_SCHEDULE = ((0.01, 500),)
+DEFAULT_UDE_SCHEDULE = ((0.01, 1000), (0.005, 1000), (0.001, 500))
 
 _STATE_FLOOR = 1e-12  # Gompertz solves floor the state here before the log
 
@@ -150,7 +154,6 @@ class TrainConfig:
 
     schedule: tuple[tuple[float, int], ...]
     seed: int = 123
-    n_collocation: int = 21
     solver_steps: int = 100
     hidden: tuple[int, ...] | None = None
     time_input: bool = False
@@ -167,8 +170,6 @@ class TrainConfig:
                 raise ValueError(f"learning rates must be positive, got {lr}")
             if ep < 1:
                 raise ValueError(f"every stage needs at least 1 epoch, got {ep}")
-        if self.n_collocation < 2:
-            raise ValueError(f"need at least 2 collocation points, got {self.n_collocation}")
         if self.solver_steps < 1:
             raise ValueError(f"solver_steps must be >= 1, got {self.solver_steps}")
 
@@ -178,17 +179,13 @@ class TrainConfig:
 
     @classmethod
     def neural_ode_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(schedule=((0.01, 500),), seed=123, hidden=DEFAULT_NEURAL_ODE_HIDDEN)
+        base = dict(schedule=DEFAULT_NEURAL_ODE_SCHEDULE, seed=123, hidden=DEFAULT_NEURAL_ODE_HIDDEN)
         base.update(overrides)
         return cls(**base)
 
     @classmethod
     def ude_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(
-            schedule=((0.01, 1000), (0.005, 1000), (0.001, 500)),
-            seed=123,
-            hidden=DEFAULT_UDE_HIDDEN,
-        )
+        base = dict(schedule=DEFAULT_UDE_SCHEDULE, seed=123, hidden=DEFAULT_UDE_HIDDEN)
         base.update(overrides)
         return cls(**base)
 
@@ -199,8 +196,7 @@ class TrainReport:
 
     loss_history[i] is the loss after update i+1, so final_loss is the loss
     of the last-epoch parameters while best_loss belongs to the parameters
-    actually returned by train(). Multiply by physical_scale (the squared
-    volume range) to express any entry in mm^3 units.
+    actually returned by train().
     """
 
     initial_loss: float
@@ -209,24 +205,11 @@ class TrainReport:
     best_epoch: int
     loss_history: tuple[float, ...]
     wall_time: float
-    physical_scale: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "loss_history", tuple(self.loss_history))
         if self.loss_history and self.final_loss != self.loss_history[-1]:
             raise ValueError("final_loss must equal the last history entry")
-
-    @property
-    def initial_loss_physical(self) -> float | None:
-        return None if self.physical_scale is None else self.initial_loss * self.physical_scale
-
-    @property
-    def final_loss_physical(self) -> float | None:
-        return None if self.physical_scale is None else self.final_loss * self.physical_scale
-
-    @property
-    def best_loss_physical(self) -> float | None:
-        return None if self.physical_scale is None else self.best_loss * self.physical_scale
 
 
 class TrainingError(RuntimeError):
@@ -500,12 +483,7 @@ def init_model(variant: str, config: TrainConfig) -> DynamicsModel:
     raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
 
 
-def train(
-    variant: str,
-    data,
-    config: TrainConfig,
-    physical_scale: float | None = None,
-) -> tuple[DynamicsModel, TrainReport]:
+def train(variant: str, data, config: TrainConfig) -> tuple[DynamicsModel, TrainReport]:
     """Full-batch Adam over the schedule; returns the best parameters seen.
 
     The loss history has one entry per epoch: the loss of the parameters
@@ -565,7 +543,6 @@ def train(
         best_epoch=best_epoch,
         loss_history=tuple(history),
         wall_time=time.perf_counter() - start,
-        physical_scale=physical_scale,
     )
     return model_with_theta(template, best_theta), report
 
@@ -586,7 +563,7 @@ def save_model(model: DynamicsModel, path, seed=None) -> None:
         else:
             blob["networks"] = [params_to_blob(model.nn1, seed), params_to_blob(model.nn2, seed)]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=1)
+        json.dump(blob, fh, indent=1, allow_nan=False)
 
 
 def load_model(path) -> DynamicsModel:
@@ -607,8 +584,6 @@ def load_model(path) -> DynamicsModel:
 
 def write_report_csv(report: TrainReport, path) -> None:
     """Epoch/loss trace; epoch 0 is the loss before any update."""
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])

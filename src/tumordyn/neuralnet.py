@@ -13,7 +13,6 @@ built on these supply their own exact gradient to `value_and_grad`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,17 +30,17 @@ __all__ = [
     "mlp_batch",
     "mlp_input_derivative",
     "mlp_vjp",
-    "forward",
     "value_and_grad",
     "adam_update",
-    "adam_step",
-    "save_params",
-    "load_params",
     "params_to_blob",
     "params_from_blob",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _rotl(x: int, k: int) -> int:
@@ -149,9 +148,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -240,14 +236,6 @@ def mlp_vjp(layers, acts, G: np.ndarray) -> np.ndarray:
     return np.concatenate(pieces[::-1])
 
 
-def forward(params: MLPParams, x) -> np.ndarray:
-    """Evaluate the network on one input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.arch.in_width,):
-        raise ValueError(f"input shape {x.shape} does not match input width {params.arch.in_width}")
-    return mlp_apply(unpack_layers(params.arch, params.theta), x)
-
-
 def value_and_grad(loss_fn, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """Return (loss_fn(theta), d loss_fn / d theta).
 
@@ -272,17 +260,12 @@ def adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> tuple[np.
     if theta.shape != g.shape or theta.shape != state.m.shape:
         raise ValueError("theta, gradient, and Adam moments must have equal length")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_theta = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_theta = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_theta, replace(state, m=m, v=v, step_count=t)
-
-
-def adam_step(params: MLPParams, g: np.ndarray, state: AdamState) -> tuple[MLPParams, AdamState]:
-    theta, new_state = adam_update(params.theta, g, state)
-    return MLPParams(params.arch, theta), new_state
 
 
 # --- checkpoint format -----------------------------------------------
@@ -309,12 +292,3 @@ def params_from_blob(blob: dict) -> MLPParams:
     theta = np.array([float.fromhex(h) for h in blob["theta_hex"]])
     return MLPParams(arch, theta)
 
-
-def save_params(params: MLPParams, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_blob(params, seed), fh, indent=1)
-
-
-def load_params(path) -> MLPParams:
-    with open(path, encoding="utf-8") as fh:
-        return params_from_blob(json.load(fh))

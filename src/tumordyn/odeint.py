@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "rk4_adjoint",
     "solve_fixed_grid",
     "integrate_rk4",
-    "eval_at",
     "write_trajectory_csv",
 ]
 
@@ -182,14 +181,6 @@ def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajec
 def integrate_rk4(rhs, V0: float, t0: float, t1: float, n_steps: int) -> Trajectory:
     """Fixed-step RK4 for an autonomous scalar field dV/dt = rhs(V)."""
     return solve_fixed_grid(lambda t, v: rhs(v), V0, t0, t1, n_steps)
-
-
-def eval_at(trajectory: Trajectory, t: float) -> float:
-    """Linear interpolation between the bracketing solution nodes."""
-    lo, hi = trajectory.span
-    if t < lo or t > hi:
-        raise ValueError(f"t={t} outside trajectory span [{lo}, {hi}]")
-    return float(np.interp(t, trajectory.times, trajectory.states))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 __all__ = ["PlotStyle", "emit_plot"]
 
+_WIDTH, _HEIGHT = 960, 600  # canvas size in pixels
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
@@ -19,8 +20,6 @@ class PlotStyle:
     title: str
     x_label: str
     y_label: str
-    width: int = 960
-    height: int = 600
     split_x: float | None = None  # dashed vertical marker, e.g. a train/test split
 
 
@@ -66,7 +65,7 @@ def emit_plot(path, x, series, style: PlotStyle, scatter=None) -> None:
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    W, H = style.width, style.height
+    W, H = _WIDTH, _HEIGHT
     ml, mr, mt, mb = 78, 180, 48, 58
     px = lambda v: ml + (v - x_lo) / (x_hi - x_lo) * (W - ml - mr)
     py = lambda v: H - mb - (v - y_lo) / (y_hi - y_lo) * (H - mt - mb)

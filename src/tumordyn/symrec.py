@@ -16,6 +16,7 @@ Basis indices are 1-based throughout, matching the phi numbering.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,6 @@ class BasisSet:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"carrying capacity must be positive, got {self.K}")
-
-    @property
-    def size(self) -> int:
-        return 4
 
     @property
     def members(self):
@@ -230,8 +227,6 @@ def _significant(x: float, digits: int) -> str:
     keeping trailing zeros (2 -> '2.00' at 3 figures)."""
     if x == 0:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    import math
-
     magnitude = math.floor(math.log10(abs(x)))
     decimals = digits - 1 - magnitude
     rounded = round(abs(x), decimals)

@@ -1,14 +1,17 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tumordyn.cli
 import tumordyn.models
 from conftest import SAMPLE_CSV
 from tumordyn.cli import main, run_all, run_subject
 from tumordyn.config import RunConfig, load_config
-from tumordyn.dataio import SubjectNotFoundError
+from tumordyn.dataio import SubjectNotFoundError, load_series, make_norm_map
 from tumordyn.svgplot import PlotStyle, emit_plot
 
 TINY_YAML = """\
@@ -70,6 +73,24 @@ class TestConfig:
         path.write_text("recover:\n  lambda: sometimes\n")
         with pytest.raises(ValueError):
             load_config(path)
+
+    def test_unknown_keys_named(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("subjcts: [3]\nneural_ode:\n  epochs: 10\n  hidden: [4]\nrecover: {K: 900.0, k: 1}\n")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == "unknown config keys: subjcts, neural_ode.epochs, recover.k"
+
+    def test_section_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("ude: [4, 4]\n")
+        with pytest.raises(ValueError, match="ude"):
+            load_config(path)
+
+    def test_shipped_config_loads(self):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.yaml")
+        assert cfg == RunConfig(basis_K_by_subject=cfg.basis_K_by_subject)
+        assert cfg.basis_K(2) == 2100.0
 
     def test_empty_subjects_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +178,41 @@ class TestRunSubject:
         assert "wall" not in json.dumps(on_disk)  # timings live elsewhere
         assert (sdir / "timings.json").exists()
 
+    def test_physical_losses_scale_by_volume_range(self, tiny_config, sample_csv):
+        summary = run_subject(load_config(tiny_config), 1)
+        scale = make_norm_map(load_series(sample_csv, 1)).v_scale ** 2
+        for variant in ("neural_ode", "ude"):
+            fit = summary[variant]
+            for name in ("initial_loss", "final_loss", "best_loss"):
+                assert fit[f"{name}_physical"] == fit[name] * scale
+
+    def test_failed_forecast_cell_is_strict_json_null(self, tiny_config, monkeypatch):
+        real_write = tumordyn.cli.write_cell_csv
+
+        def failing_write(result, data, path):
+            if path.name == "forecast_ude_60.csv":
+                raise RuntimeError("injected cell failure")
+            return real_write(result, data, path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(tumordyn.cli, "write_cell_csv", failing_write)
+        out = tiny_config.parent / "out"
+        run_all(load_config(tiny_config))
+        summary = json.loads((out / "subject_1" / "summary.json").read_text(), parse_constant=reject)
+        cells = {(r["variant"], r["fraction"]): r for r in summary["forecast"]}
+        failed = cells[("ude", 0.6)]
+        assert "injected cell failure" in failed["error"]
+        assert failed["train_loss"] is None and failed["test_mse"] is None
+        assert all(r["error"] is None and math.isfinite(r["test_mse"]) for k, r in cells.items() if k != ("ude", 0.6))
+        suite = (out / "subject_1" / "forecast.csv").read_text().splitlines()
+        assert "1,ude,0.6,nan,nan" in suite
+        wide = (out / "forecast_summary.csv").read_text().splitlines()
+        assert wide[0] == "subject,K,neural_ode_80,neural_ode_60,ude_80,ude_60"
+        assert wide[1].endswith(",")  # the failed ude_60 cell is an empty field
+        assert wide[1].split(",")[4] != ""
+
     def test_unknown_subject_fails_before_training(self, tiny_config):
         cfg = load_config(tiny_config)
         with pytest.raises(SubjectNotFoundError):
@@ -176,10 +232,10 @@ class TestRunSubject:
         cfg = load_config(tiny_config)
         real_train = tumordyn.models.train
 
-        def failing_train(variant, data, config, physical_scale=None):
+        def failing_train(variant, data, config):
             if variant == "ude":
                 raise RuntimeError("injected failure")
-            return real_train(variant, data, config, physical_scale=physical_scale)
+            return real_train(variant, data, config)
 
         monkeypatch.setattr(tumordyn.models, "train", failing_train)
         summary = run_subject(cfg, 1)

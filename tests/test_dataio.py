@@ -85,6 +85,22 @@ class TestLoadSeries:
         assert err.value.line_no == 3
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "rows, bad_line",
+        [
+            ("1,22,80\n1,27,400\n1,2,inf\n1,32,1000\n", 4),
+            ("1,22,80\n1,nan,400\n1,30,800\n1,32,1000\n", 3),
+            ("1,22,80\n1,27,400\n1,30,-inf\n1,32,1000\n", 4),
+        ],
+    )
+    def test_non_finite_field_names_line(self, tmp_path, rows, bad_line):
+        path = tmp_path / "d.csv"
+        path.write_text("id,time_days,volume_mm3\n" + rows)
+        with pytest.raises(CsvFormatError) as err:
+            load_series(path, 1)
+        assert err.value.line_no == bad_line
+        assert f"line {bad_line}" in str(err.value)
+
     def test_comments_ignored(self, sample_csv):
         s = load_series(sample_csv, 1)
         assert len(s) == 6

@@ -25,7 +25,7 @@ from tumordyn.models import (
 from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, value_and_grad
 from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs
 
-TINY = TrainConfig(schedule=((0.01, 3),), seed=7, n_collocation=11, solver_steps=20, hidden=(4,))
+TINY = TrainConfig(schedule=((0.01, 3),), seed=7, solver_steps=20, hidden=(4,))
 
 
 def constant_network(value: float, hidden=(4,)) -> MLPParams:
@@ -86,11 +86,13 @@ class TestRhs:
             rhs(model, np.array([100.0, 0.0]))
 
     def test_ude_factorization(self):
-        from tumordyn.neuralnet import forward
+        from tumordyn.neuralnet import mlp_apply, unpack_layers
 
         model = init_model("ude", TINY)
+        nn1 = unpack_layers(model.nn1.arch, model.nn1.theta)
+        nn2 = unpack_layers(model.nn2.arch, model.nn2.theta)
         for v in [0.1, 0.4, 0.8]:
-            expected = float(forward(model.nn1, [v])[0]) * v * float(forward(model.nn2, [v])[0])
+            expected = float(mlp_apply(nn1, np.array([v]))[0]) * v * float(mlp_apply(nn2, np.array([v]))[0])
             assert rhs(model, v) == pytest.approx(expected, rel=1e-14)
 
 
@@ -206,14 +208,9 @@ class TestTrain:
         model, report = train("neural_ode", data, TINY)
         assert loss(model, data, TINY) == pytest.approx(report.best_loss, rel=1e-12)
 
-    def test_physical_scale_passthrough(self):
-        data, norm_map, _ = make_collocation_data(11)
-        _, report = train("neural_ode", data, TINY, physical_scale=norm_map.v_scale**2)
-        assert report.best_loss_physical == pytest.approx(report.best_loss * norm_map.v_scale**2)
-
     def test_divergence_becomes_training_error(self):
         data, _, _ = make_collocation_data(11)
-        wild = TrainConfig(schedule=((1e6, 4),), seed=7, n_collocation=11, solver_steps=20, hidden=(4,))
+        wild = TrainConfig(schedule=((1e6, 4),), seed=7, solver_steps=20, hidden=(4,))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError) as err:
                 train("ude", data, wild)
@@ -235,7 +232,7 @@ class TestTrain:
         data, _, _ = make_collocation_data(11)
         worst = 0.0
         for seed in range(3):
-            cfg = TrainConfig(schedule=((0.01, 1),), seed=seed, n_collocation=11, solver_steps=20,
+            cfg = TrainConfig(schedule=((0.01, 1),), seed=seed, solver_steps=20,
                               hidden=(6, 6), time_input=time_input)
             template = init_model("ude", cfg)
             loss_fn = make_loss_fn(template, data, cfg)
@@ -265,7 +262,7 @@ class TestTrain:
 
 
 class TestTimeInputToggle:
-    CFG = TrainConfig(schedule=((0.01, 2),), seed=7, n_collocation=11, solver_steps=20, hidden=(4,), time_input=True)
+    CFG = TrainConfig(schedule=((0.01, 2),), seed=7, solver_steps=20, hidden=(4,), time_input=True)
 
     def test_networks_take_two_inputs(self):
         node = init_model("neural_ode", self.CFG)
