@@ -8,7 +8,9 @@ networks trained through the lr schedule 0.01/0.005/0.001 for
 1000/1000/500 epochs; forecasts at 90/80/70% training fractions). A key
 the loader does not know, at the top level or inside a section, is an
 error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
-never falls back to a default unnoticed.
+never falls back to a default unnoticed. So is a value of the wrong kind
+or out of range (`time_input: "false"`, `seed: 1.7`, `solver_steps: 0`,
+a forecast fraction outside (0, 1)): it fails at load, not in a stage.
 
 Example:
 
@@ -25,6 +27,7 @@ Example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -95,39 +98,88 @@ class RunConfig:
         return float(self.basis_K_by_subject.get(int(subject_id), self.basis_K_default))
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _int(value, low=None) -> int:
+    """An integral number (2 or 2.0, not 2.5, "2" or true), at least `low`."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A finite number (not a string or a boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _at_least(low):
+    return lambda value: _int(value, low)
+
+
+def _widths(values):
+    return tuple(_int(w, 1) for w in values)
+
+
 def _schedule(stages):
-    return tuple(tuple(s) for s in stages)
+    return tuple((_float(lr), _int(epochs, 1)) for lr, epochs in stages)
+
+
+def _fractions(values):
+    fractions = tuple(_float(f) for f in values)
+    if not all(0.0 < f < 1.0 for f in fractions):
+        raise ValueError(f"must lie in (0, 1), got {list(values)}")
+    return fractions
 
 
 def _lambda(value):
-    if isinstance(value, str):
-        if value != "auto":
-            raise ValueError(f"recover.lambda must be a number or 'auto', got {value!r}")
+    if value == "auto":
         return None
-    return float(value)
+    if isinstance(value, str):
+        raise ValueError(f"must be a number or 'auto', got {value!r}")
+    return _float(value)
+
+
+def _K_by_subject(mapping):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"must map subject ids to K, got {mapping!r}")
+    return {_int(k): _float(v) for k, v in mapping.items()}
 
 
 # YAML key, as (key,) or (section, key) -> (RunConfig field, conversion)
 _KEYS = {
-    ("data",): ("data_path", str),
-    ("subjects",): ("subjects", tuple),
-    ("out_dir",): ("out_dir", str),
-    ("seed",): ("seed", int),
-    ("n_collocation",): ("n_collocation", int),
-    ("solver_steps",): ("solver_steps", int),
-    ("time_input",): ("time_input", bool),
-    ("gompertz", "a"): ("gompertz_a", float),
-    ("gompertz", "K"): ("gompertz_K", float),
-    ("neural_ode", "hidden"): ("node_hidden", tuple),
+    ("data",): ("data_path", _text),
+    ("subjects",): ("subjects", lambda ids: tuple(_int(i) for i in ids)),
+    ("out_dir",): ("out_dir", _text),
+    ("seed",): ("seed", _int),
+    ("n_collocation",): ("n_collocation", _at_least(2)),
+    ("solver_steps",): ("solver_steps", _at_least(1)),
+    ("time_input",): ("time_input", _bool),
+    ("gompertz", "a"): ("gompertz_a", _float),
+    ("gompertz", "K"): ("gompertz_K", _float),
+    ("neural_ode", "hidden"): ("node_hidden", _widths),
     ("neural_ode", "schedule"): ("node_schedule", _schedule),
-    ("ude", "hidden"): ("ude_hidden", tuple),
+    ("ude", "hidden"): ("ude_hidden", _widths),
     ("ude", "schedule"): ("ude_schedule", _schedule),
-    ("forecast", "fractions"): ("fractions", tuple),
-    ("recover", "n_samples"): ("recover_n_samples", int),
+    ("forecast", "fractions"): ("fractions", _fractions),
+    ("recover", "n_samples"): ("recover_n_samples", _at_least(10)),
     ("recover", "lambda"): ("recover_lambda", _lambda),
-    ("recover", "sig_figs"): ("sig_figs", int),
-    ("recover", "K"): ("basis_K_default", float),
-    ("recover", "K_by_subject"): ("basis_K_by_subject", lambda m: {int(k): float(v) for k, v in m.items()}),
+    ("recover", "sig_figs"): ("sig_figs", _at_least(1)),
+    ("recover", "K"): ("basis_K_default", _float),
+    ("recover", "K_by_subject"): ("basis_K_by_subject", _K_by_subject),
 }
 _SECTIONS = {key[0] for key in _KEYS if len(key) == 2}
 
@@ -137,12 +189,17 @@ def load_config(path=None, **overrides) -> RunConfig:
 
     Overrides (e.g. subjects=..., out_dir=..., seed=...) win over the file,
     which wins over the defaults; a null value counts as omitted. Raises
-    ValueError naming every key the file sets that the loader does not know.
+    ValueError naming every key the file sets that the loader does not
+    know, or the first key whose value is of the wrong kind or range; a
+    file that is not YAML raises ValueError too.
     """
     raw: dict[str, Any] = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"config file is not valid YAML: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"config root must be a mapping, got {type(raw).__name__}")
 
@@ -162,6 +219,9 @@ def load_config(path=None, **overrides) -> RunConfig:
     for key, value in items:
         if value is not None:
             name, convert = _KEYS[key]
-            kwargs[name] = convert(value)
+            try:
+                kwargs[name] = convert(value)
+            except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
+                raise ValueError(f"config key {'.'.join(key)}: {exc}") from None
     kwargs.update(overrides)
     return RunConfig(**kwargs)

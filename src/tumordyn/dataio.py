@@ -167,6 +167,8 @@ def load_series(path, subject_id: int) -> TumorSeries:
 
     A row whose fields do not parse or are not finite, in any subject, and a
     duplicated time of this subject raise CsvFormatError naming the line.
+    An absent subject raises SubjectNotFoundError, and a series TumorSeries
+    rejects (fewer than 4 points, a volume <= 0) ValueError.
     """
     rows = []  # (line_no, time, volume)
     seen_ids = set()

@@ -4,6 +4,7 @@ The split happens in normalized time on the collocation grid. A forecast is
 one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
+The cells of one trainable variant train as one batch (`models.train_batch`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .models import (
     TrainReport,
     loss as model_loss,
     solve,
-    train,
+    train,  # noqa: F401 - part of this module's namespace, traced by the benchmark
+    train_batch,
 )
 from .odeint import GompertzParams, Trajectory
 
@@ -80,6 +82,49 @@ def split(data, spec: SplitSpec):
     return train_part, test_part
 
 
+def _forecast_cells(variant: str, data, fractions, config: TrainConfig, gompertz=None) -> list:
+    """A ForecastResult per training fraction, or the exception its cell
+    raised; the cells of a trainable variant train as one batch."""
+    cells: list = []
+    for fraction in fractions:
+        try:
+            cells.append(split(data, SplitSpec(train_fraction=fraction)))
+        except ValueError as exc:
+            cells.append(exc)
+    ready = [k for k, cell in enumerate(cells) if not isinstance(cell, Exception)]
+    if variant == "gompertz":
+        if gompertz is None:
+            raise ValueError("the gompertz variant needs explicit GompertzParams")
+        fits = [(GompertzModel(gompertz), None)] * len(ready)
+    else:
+        fits = train_batch(variant, [cells[k][0] for k in ready], config)
+    for k, fit in zip(ready, fits):
+        try:
+            cells[k] = fit if isinstance(fit, Exception) else _result(variant, data, cells[k], fit, fractions[k], config)
+        except (ArithmeticError, ValueError) as exc:
+            cells[k] = exc
+    return cells
+
+
+def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
+    """Solve a fitted cell across the full span and score the test points."""
+    (train_part, test_part), (model, report) = cell, fit
+    train_loss = model_loss(model, train_part, config) if report is None else report.best_loss
+    trajectory = solve(model, train_part[0][1], (data[0][0], data[-1][0]), config.solver_steps)
+    test_taus = np.array([t for t, _ in test_part])
+    test_values = np.array([v for _, v in test_part])
+    predicted = np.interp(test_taus, trajectory.times, trajectory.states)
+    return ForecastResult(
+        variant=variant,
+        model=model,
+        train_loss=train_loss,
+        test_mse=float(np.mean((predicted - test_values) ** 2)),
+        trajectory=trajectory,
+        split_tau=fraction,
+        report=report,
+    )
+
+
 def forecast(
     variant: str,
     data,
@@ -90,38 +135,12 @@ def forecast(
     """Fit on the training partition, then solve across the full span.
 
     The Gompertz variant is not trained; it forecasts with the supplied
-    fixed parameters.
+    fixed parameters. This is one cell of `forecast_suite`.
     """
-    train_part, test_part = split(data, spec)
-    report = None
-    if variant == "gompertz":
-        if gompertz is None:
-            raise ValueError("the gompertz variant needs explicit GompertzParams")
-        model: DynamicsModel = GompertzModel(gompertz)
-        train_loss = model_loss(model, train_part, config)
-    else:
-        model, report = train(variant, train_part, config)
-        train_loss = report.best_loss
-
-    v0 = train_part[0][1]
-    t_first = data[0][0]
-    t_last = data[-1][0]
-    trajectory = solve(model, v0, (t_first, t_last), config.solver_steps)
-
-    test_taus = np.array([t for t, _ in test_part])
-    test_values = np.array([v for _, v in test_part])
-    predicted = np.interp(test_taus, trajectory.times, trajectory.states)
-    test_mse = float(np.mean((predicted - test_values) ** 2))
-
-    return ForecastResult(
-        variant=variant,
-        model=model,
-        train_loss=train_loss,
-        test_mse=test_mse,
-        trajectory=trajectory,
-        split_tau=spec.train_fraction,
-        report=report,
-    )
+    (outcome,) = _forecast_cells(variant, data, [spec.train_fraction], config, gompertz)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def forecast_suite(
@@ -134,22 +153,31 @@ def forecast_suite(
 ) -> list[SuiteRow]:
     """Evaluate every (variant, fraction) cell; failures become error rows.
 
-    Rows come back sorted by (variant, fraction). Each cell trains from its
-    own seeded initialization, so repeated runs are identical. `on_cell`,
-    when given, receives (variant, fraction, ForecastResult) after each
-    successful cell; its exceptions count as that cell's failure.
+    Rows come back sorted by (variant, fraction). The cells of a trainable
+    variant share one initialization, drawn once from the config's seed,
+    and train as one batch, each cell with the bits it gets alone; repeated
+    runs are identical. A cell that fails, in training or after, leaves the
+    others untouched. `on_cell`, when given, receives (variant, fraction,
+    ForecastResult) after each successful cell; its exceptions count as
+    that cell's failure.
     """
     rows = []
+    cells = sorted(fractions)
     for variant in sorted(variants):
-        for fraction in sorted(fractions):
-            spec = SplitSpec(train_fraction=fraction)
-            try:
-                result = forecast(variant, data, spec, configs[variant], gompertz=gompertz)
-                if on_cell is not None:
-                    on_cell(variant, fraction, result)
-                rows.append(SuiteRow(variant, fraction, result.train_loss, result.test_mse))
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                rows.append(SuiteRow(variant, fraction, math.nan, math.nan, error=str(exc)))
+        try:
+            outcomes = _forecast_cells(variant, data, cells, configs[variant], gompertz)
+        except Exception as exc:  # noqa: BLE001 - a variant-wide failure fails each of its cells
+            outcomes = [exc] * len(cells)
+        for fraction, outcome in zip(cells, outcomes):
+            if on_cell is not None and not isinstance(outcome, Exception):
+                try:
+                    on_cell(variant, fraction, outcome)
+                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                    outcome = exc
+            if isinstance(outcome, Exception):
+                rows.append(SuiteRow(variant, fraction, math.nan, math.nan, error=str(outcome)))
+            else:
+                rows.append(SuiteRow(variant, fraction, outcome.train_loss, outcome.test_mse))
     return rows
 
 

@@ -15,6 +15,12 @@ pass over those inputs gives each stage's df/dv, a reverse sweep through
 the RK4 stages (`odeint.rk4_adjoint`) gives each stage's cotangent, and
 one batched vector-Jacobian product through the networks turns those into
 d loss / d theta. Losses are reported on the normalized scale.
+
+Fits of one variant and config on several datasets train as one batch
+(`train_batch`): every evaluation solves all members' losses in one member
+RK4 solve, with each stage's networks evaluated as one stack; the reverse
+sweeps and Adam steps stay per member. Each member's results are bitwise
+those of its own `train`, which is the batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -35,6 +40,7 @@ from .neuralnet import (
     MLPParams,
     Xoshiro256StarStar,
     adam_update,
+    floats_from_hex,
     init_params_from_stream,
     mlp_apply,
     mlp_batch,
@@ -42,6 +48,7 @@ from .neuralnet import (
     mlp_vjp,
     params_from_blob,
     params_to_blob,
+    stack_layers,
     unpack_layers,
     value_and_grad,
 )
@@ -77,6 +84,7 @@ __all__ = [
     "init_model",
     "initial_state",
     "train",
+    "train_batch",
     "save_model",
     "load_model",
     "write_report_csv",
@@ -128,9 +136,14 @@ class UDEModel:
                 raise ValueError(
                     f"UDE {name} must map {expected} -> 1, got {net.arch.layer_widths}"
                 )
+        if self.nn1.arch != self.nn2.arch:
+            raise ValueError(
+                "UDE networks must share one architecture, got "
+                f"{self.nn1.arch.layer_widths} and {self.nn2.arch.layer_widths}"
+            )
 
 
-DynamicsModel = Union[GompertzModel, NeuralODEModel, UDEModel]
+DynamicsModel = GompertzModel | NeuralODEModel | UDEModel
 
 
 def variant_name(model: DynamicsModel) -> str:
@@ -238,13 +251,15 @@ def _networks(model, theta=None):
 
 
 def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
-    """Build the float right-hand side f(t, v) of a model.
+    """Build the right-hand side f(t, v) of a model.
 
-    When `theta` (a flat vector) is given it overrides the stored network
-    parameters, which is how the training loss rebuilds the networks from
-    the optimizer's current iterate. `clamp_counter`, a one-element list,
-    enables the state floor for Gompertz solves and counts how often it
-    fires.
+    When `theta` is given it overrides the stored network parameters, which
+    is how the training loss rebuilds the networks from the optimizer's
+    iterates. A flat vector gives a float f(t, v). A stack of B vectors
+    (B, n_params) gives the right-hand sides of B members at once, mapping
+    (B,) times and states to (B,) values, each bitwise what the member's
+    own float f gives. `clamp_counter`, a one-element list, enables the
+    state floor for Gompertz solves and counts how often it fires.
     """
     if isinstance(model, GompertzModel):
         p = model.params
@@ -257,23 +272,27 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
 
         return f
 
-    if isinstance(model, NeuralODEModel):
-        (layers,) = _networks(model, theta)
-        if model.time_input:
-            return lambda t, v: float(mlp_apply(layers, np.array([v, t]))[0])
-        return lambda t, v: float(mlp_apply(layers, np.array([v]))[0])
+    if not isinstance(model, (NeuralODEModel, UDEModel)):
+        raise TypeError(f"not a dynamics model: {model!r}")
+    thetas = model_theta(model) if theta is None else theta
+    lead = thetas.shape[:-1]
+    # the networks of a model share one architecture, so they run as one stack
+    n_nets = 1 if isinstance(model, NeuralODEModel) else 2
+    arch = model.mlp.arch if n_nets == 1 else model.nn1.arch
+    layers = stack_layers(arch, thetas.reshape(*lead, n_nets, arch.n_params))
+    x = np.zeros((*lead, 1, arch.in_width, 1))
+    time_input = model.time_input
 
-    if isinstance(model, UDEModel):
-        layers1, layers2 = _networks(model, theta)
-        time_input = model.time_input
+    def f(t, v):
+        x[..., 0, 0, 0] = v
+        if time_input:
+            x[..., 0, 1, 0] = t
+        y = mlp_apply(layers, x)[..., 0, 0]
+        return y[..., 0] if n_nets == 1 else y[..., 0] * v * y[..., 1]
 
-        def f(t, v):
-            x = np.array([v, t]) if time_input else np.array([v])
-            return float(mlp_apply(layers1, x)[0]) * v * float(mlp_apply(layers2, x)[0])
-
+    if lead:
         return f
-
-    raise TypeError(f"not a dynamics model: {model!r}")
+    return lambda t, v: float(f(t, v))
 
 
 def _network_batch(model, nets, v: np.ndarray, tau: np.ndarray):
@@ -386,14 +405,8 @@ def _collocation(data, config: TrainConfig) -> _Collocation:
     return _Collocation(times, float((t1 - t0) / n_steps), values.tolist(), idx.tolist(), weights)
 
 
-def _collocation_loss(model: DynamicsModel, theta, grid: _Collocation, stages=None):
-    """(loss, residuals) of the float RK4 solve against the targets.
-
-    Raises DivergenceError exactly like the standalone solver. `stages`
-    collects the solve's stage inputs (see `odeint.rk4_step`).
-    """
-    f = _make_rhs(model, theta, clamp_counter=[0])
-    states = rk4_states(f, initial_state(model, grid.targets[0]), grid.times, grid.h, stages)
+def _collocation_mse(states, grid: _Collocation):
+    """(loss, residuals) of one solve's float states against the targets."""
     residuals = [
         (1.0 - w) * states[j] + w * states[j + 1] - target
         for j, w, target in zip(grid.index, grid.weights, grid.targets)
@@ -402,31 +415,80 @@ def _collocation_loss(model: DynamicsModel, theta, grid: _Collocation, stages=No
 
 
 class _CollocationLoss:
-    """The collocation loss as a function of the flat parameter vector.
+    """Collocation losses of members that share one model structure.
 
-    Calling it gives the loss; `value_and_grad` also gives its exact
-    gradient by the discrete adjoint described in the module docstring.
+    Member b solves the model with its own parameters against grids[b].
+    All members are one RK4 solve: a float solve for a single member, a
+    member solve (`odeint.rk4_states`) for several. It raises
+    DivergenceError exactly like the standalone solver, naming the member.
+    Called on one flat vector, a one-member loss gives its loss, and
+    `value_and_grad` also its exact gradient by the discrete adjoint
+    described in the module docstring.
     """
 
-    def __init__(self, model: DynamicsModel, grid: _Collocation):
+    def __init__(self, model: DynamicsModel, grids):
+        self.model = model
+        self.grids = list(grids)
+
+    def _solve(self, thetas, stages=None) -> list[list[float]]:
+        """Each member's states; thetas[b] of None means the model's own."""
+        model, grids = self.model, self.grids
+        if len(grids) == 1:
+            # the clamp counter enables the Gompertz state floor
+            f = _make_rhs(model, thetas[0], clamp_counter=[0])
+            grid = grids[0]
+            return [rk4_states(f, initial_state(model, grid.targets[0]), grid.times, grid.h, stages)]
+        f = _make_rhs(model, np.stack(thetas))
+        v0 = np.array([initial_state(model, grid.targets[0]) for grid in grids])
+        times = np.column_stack([grid.times for grid in grids])
+        h = np.array([grid.h for grid in grids])
+        return np.array(rk4_states(f, v0, times, h, stages)).T.tolist()
+
+    def values(self, thetas) -> list[float]:
+        """Each member's loss at its parameters thetas[b]."""
+        return [_collocation_mse(states, grid)[0] for states, grid in zip(self._solve(thetas), self.grids)]
+
+    def linearize(self, thetas) -> list["_Linearization"]:
+        """Each member's recorded solve at its parameters thetas[b]."""
+        stages: list = []
+        solved = self._solve(thetas, stages)
+        recorded = np.array(stages).reshape(len(stages), 2, len(self.grids))
+        return [
+            _Linearization(self.model, grid, *_collocation_mse(states, grid), recorded[:, 0, b], recorded[:, 1, b])
+            for b, (states, grid) in enumerate(zip(solved, self.grids))
+        ]
+
+    def __call__(self, theta) -> float:
+        return self.values([theta])[0]
+
+    def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return self.linearize([theta])[0].value_and_grad(theta)
+
+
+class _Linearization:
+    """One member's recorded solve: its loss and stage inputs.
+
+    `value_and_grad(theta)`, at the parameters the solve was made with,
+    completes the exact gradient with the reverse sweep.
+    """
+
+    def __init__(self, model, grid: _Collocation, value: float, residuals, stage_t, stage_v):
         self.model = model
         self.grid = grid
-
-    def __call__(self, theta: np.ndarray) -> float:
-        return _collocation_loss(self.model, theta, self.grid)[0]
+        self.value = value
+        self.residuals = residuals
+        self.stage_t = stage_t
+        self.stage_v = stage_v
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         grid = self.grid
-        stages: list = []
-        value, residuals = _collocation_loss(self.model, theta, grid, stages)
-        g = (2.0 / len(residuals)) * np.array(residuals)
+        g = (2.0 / len(self.residuals)) * np.array(self.residuals)
         w = np.array(grid.weights)
         state_bar = np.zeros(len(grid.times))
         np.add.at(state_bar, grid.index, (1.0 - w) * g)
         np.add.at(state_bar, np.array(grid.index) + 1, w * g)
-        stage_t, stage_v = np.array(stages).T
-        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), stage_v, stage_t)
-        return value, vjp(rk4_adjoint(state_bar, jac, grid.h))
+        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v, self.stage_t)
+        return self.value, vjp(rk4_adjoint(state_bar, jac, grid.h))
 
 
 def make_loss_fn(model: DynamicsModel, data, config: TrainConfig) -> _CollocationLoss:
@@ -434,12 +496,12 @@ def make_loss_fn(model: DynamicsModel, data, config: TrainConfig) -> _Collocatio
     available through `neuralnet.value_and_grad`."""
     if isinstance(model, GompertzModel):
         raise ValueError("the Gompertz variant has no trainable parameters")
-    return _CollocationLoss(model, _collocation(data, config))
+    return _CollocationLoss(model, [_collocation(data, config)])
 
 
 def loss(model: DynamicsModel, data, config: TrainConfig) -> float:
     """Normalized MSE of the model's solved trajectory against `data`."""
-    return _collocation_loss(model, None, _collocation(data, config))[0]
+    return _CollocationLoss(model, [_collocation(data, config)])(None)
 
 
 # --- parameter vector helpers ------------------------------------------
@@ -483,68 +545,110 @@ def init_model(variant: str, config: TrainConfig) -> DynamicsModel:
     raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
 
 
+class _Member:
+    """One member's parameters, Adam state and loss trace in `train_batch`."""
+
+    def __init__(self, grid: _Collocation, theta: np.ndarray):
+        self.grid, self.theta, self.adam = grid, theta, None
+        self.history: list[float] = []
+        self.initial_loss = self.best_theta = None
+        self.best_loss, self.best_epoch = math.inf, 0
+
+    def record(self, value: float, eval_index: int) -> None:
+        """Log the loss of the current parameters (evaluation eval_index)."""
+        if self.initial_loss is None:
+            self.initial_loss = value
+        else:
+            self.history.append(value)
+        if value < self.best_loss:
+            self.best_loss, self.best_theta, self.best_epoch = value, self.theta, eval_index
+
+
 def train(variant: str, data, config: TrainConfig) -> tuple[DynamicsModel, TrainReport]:
     """Full-batch Adam over the schedule; returns the best parameters seen.
 
     The loss history has one entry per epoch: the loss of the parameters
     produced by that epoch's update. Raises TrainingError if the loss turns
-    non-finite at any point.
+    non-finite at any point. This is `train_batch` on one dataset.
+    """
+    (outcome,) = train_batch(variant, [data], config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def train_batch(variant: str, datasets, config: TrainConfig) -> list:
+    """`train` on each dataset, with all members trained together.
+
+    Every member starts from the one seeded initialization. Each epoch
+    solves all members' losses as one member solve; the reverse sweeps and
+    Adam steps stay per member. Returns, per dataset, what `train` returns
+    for it alone, bitwise, or the TrainingError or ValueError it would
+    raise: a member that fails leaves the batch and the others go on.
     """
     template = init_model(variant, config)
     theta = model_theta(template)
-    loss_fn = make_loss_fn(template, data, config)
+    outcomes: list = [None] * len(datasets)
+    members: dict[int, _Member] = {}
+    for i, data in enumerate(datasets):
+        try:
+            members[i] = _Member(_collocation(data, config), theta)
+        except ValueError as exc:
+            outcomes[i] = exc
 
-    history: list[float] = []
-    initial_loss = None
-    best_loss = np.inf
-    best_theta = theta
-    best_epoch = 0
+    def fail(i: int, message: str, cause: Exception | None) -> None:
+        member = members.pop(i)
+        error = TrainingError(message, history=member.history, initial_loss=member.initial_loss)
+        error.__cause__ = cause
+        outcomes[i] = error
+
+    def evaluate(method: str, message) -> dict:
+        """`method` of the live members' loss, by member; a member whose
+        solve diverges fails with message(exc) and the rest are solved again."""
+        while members:
+            keys = list(members)
+            batch = _CollocationLoss(template, [members[i].grid for i in keys])
+            try:
+                return dict(zip(keys, getattr(batch, method)([members[i].theta for i in keys])))
+            except DivergenceError as exc:
+                fail(keys[exc.member or 0], message(exc), exc)
+        return {}
+
     eval_index = 0
     start = time.perf_counter()
-
     for lr, epochs in config.schedule:
-        state = AdamState.fresh(theta.size, lr)
+        for member in members.values():
+            member.adam = AdamState.fresh(theta.size, lr)
         for _ in range(epochs):
-            try:
-                current, g = value_and_grad(loss_fn, theta)
-            except (GradientError, DivergenceError) as exc:
-                raise TrainingError(
-                    f"{variant} training failed at epoch {eval_index}: {exc}",
-                    history=history,
-                    initial_loss=initial_loss,
-                ) from exc
-            if initial_loss is None:
-                initial_loss = current
-            else:
-                history.append(current)
-            if current < best_loss:
-                best_loss, best_theta, best_epoch = current, theta, eval_index
+            prefix = f"{variant} training failed at epoch {eval_index}: "
+            for i, linearization in evaluate("linearize", lambda exc: prefix + str(exc)).items():
+                member = members[i]
+                try:
+                    value, g = value_and_grad(linearization, member.theta)
+                except GradientError as exc:
+                    fail(i, prefix + str(exc), exc)
+                    continue
+                member.record(value, eval_index)
+                member.theta, member.adam = adam_update(member.theta, g, member.adam)
             eval_index += 1
-            theta, state = adam_update(theta, g, state)
 
-    try:
-        final = loss_fn(theta)
-    except DivergenceError:
-        final = math.nan
-    if not math.isfinite(final):
-        raise TrainingError(
-            f"{variant} training produced a non-finite final loss",
-            history=history,
-            initial_loss=initial_loss,
+    non_finite = f"{variant} training produced a non-finite final loss"
+    for i, final in evaluate("values", lambda exc: non_finite).items():
+        member = members[i]
+        if not math.isfinite(final):
+            fail(i, non_finite, None)
+            continue
+        member.record(final, eval_index)
+        report = TrainReport(
+            initial_loss=member.initial_loss,
+            final_loss=member.history[-1],
+            best_loss=member.best_loss,
+            best_epoch=member.best_epoch,
+            loss_history=tuple(member.history),
+            wall_time=time.perf_counter() - start,
         )
-    history.append(final)
-    if final < best_loss:
-        best_loss, best_theta, best_epoch = final, theta, eval_index
-
-    report = TrainReport(
-        initial_loss=initial_loss,
-        final_loss=history[-1],
-        best_loss=best_loss,
-        best_epoch=best_epoch,
-        loss_history=tuple(history),
-        wall_time=time.perf_counter() - start,
-    )
-    return model_with_theta(template, best_theta), report
+        outcomes[i] = (model_with_theta(template, member.best_theta), report)
+    return outcomes
 
 
 # --- checkpoints --------------------------------------------------------
@@ -567,19 +671,24 @@ def save_model(model: DynamicsModel, path, seed=None) -> None:
 
 
 def load_model(path) -> DynamicsModel:
+    """Read a `save_model` checkpoint; raises ValueError for a file that is
+    not one, including one with a non-finite number."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("format") != "tumordyn-model-v1":
-        raise ValueError(f"unrecognized checkpoint format: {blob.get('format')!r}")
-    variant = blob["variant"]
+    if not isinstance(blob, dict) or blob.get("format") != "tumordyn-model-v1":
+        raise ValueError("not a tumordyn-model-v1 checkpoint")
+    variant = blob.get("variant")
     if variant == "gompertz":
-        return GompertzModel(GompertzParams(float.fromhex(blob["a"]), float.fromhex(blob["K"])))
-    nets = [params_from_blob(b) for b in blob["networks"]]
-    if variant == "neural_ode":
-        return NeuralODEModel(nets[0], blob.get("time_input", False))
-    if variant == "ude":
-        return UDEModel(nets[0], nets[1], blob.get("time_input", False))
-    raise ValueError(f"unknown variant {variant!r} in checkpoint")
+        a, K = floats_from_hex([blob.get("a"), blob.get("K")])
+        return GompertzModel(GompertzParams(float(a), float(K)))
+    if variant not in ("neural_ode", "ude"):
+        raise ValueError(f"unknown variant {variant!r} in checkpoint")
+    n_nets = 1 if variant == "neural_ode" else 2
+    networks, time_input = blob.get("networks"), blob.get("time_input", False)
+    if not (isinstance(networks, list) and len(networks) == n_nets and isinstance(time_input, bool)):
+        raise ValueError(f"a {variant} checkpoint needs {n_nets} networks and a boolean time_input")
+    nets = [params_from_blob(b) for b in networks]
+    return NeuralODEModel(nets[0], time_input) if n_nets == 1 else UDEModel(*nets, time_input)
 
 
 def write_report_csv(report: TrainReport, path) -> None:

@@ -3,12 +3,14 @@
 Parameters live in one flat vector per network (weights then bias for each
 consecutive layer pair, in order), initialization is Glorot-uniform drawn
 from a seeded xoshiro256** stream so runs are bit-reproducible, and updates
-use a plain full-batch Adam. Besides the one-vector evaluation used inside
-the ODE solver, a network can be run on a whole batch of inputs at once
-(`mlp_batch`); its derivative with respect to the first input
-(`mlp_input_derivative`) and the vector-Jacobian product with respect to
-its parameters (`mlp_vjp`) then reuse that pass's activations. Losses
-built on these supply their own exact gradient to `value_and_grad`.
+use a plain full-batch Adam. Inside the ODE solver a network is evaluated
+on one input vector; `stack_layers` lets `mlp_apply` evaluate several
+networks of one architecture at once, each on its own input, with the
+same bits as one at a time. A network can also be run on a whole batch of
+inputs at once (`mlp_batch`); its derivative with respect to the first
+input (`mlp_input_derivative`) and the vector-Jacobian product with
+respect to its parameters (`mlp_vjp`) then reuse that pass's activations.
+Losses built on these supply their own exact gradient to `value_and_grad`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "init_params",
     "init_params_from_stream",
     "unpack_layers",
+    "stack_layers",
     "mlp_apply",
     "mlp_batch",
     "mlp_input_derivative",
@@ -34,6 +37,7 @@ __all__ = [
     "adam_update",
     "params_to_blob",
     "params_from_blob",
+    "floats_from_hex",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -188,8 +192,28 @@ def unpack_layers(arch: MLPArch, theta: np.ndarray):
     ]
 
 
+def stack_layers(arch: MLPArch, thetas: np.ndarray):
+    """(W, b) views per layer of parameter vectors stacked on leading axes.
+
+    For thetas of shape (*lead, n_params), W has shape (*lead, fo, fi) and
+    b (*lead, fo, 1), so `mlp_apply` runs every network at once on column
+    inputs (*lead, fi, 1). Each network's slice goes through the same
+    matrix-vector product as `unpack_layers` on its own vector, so the
+    outputs are bitwise equal.
+    """
+    lead = thetas.shape[:-1]
+    return [
+        (thetas[..., w_start:w_stop].reshape(*lead, *shape), thetas[..., w_stop:b_stop, None])
+        for w_start, w_stop, b_stop, shape in arch.layout()
+    ]
+
+
 def mlp_apply(layers, x: np.ndarray) -> np.ndarray:
-    """Affine + tanh per hidden layer, affine only on the output layer."""
+    """Affine + tanh per hidden layer, affine only on the output layer.
+
+    Takes the layers of `unpack_layers` with an input vector, or those of
+    `stack_layers` with column inputs.
+    """
     h = x
     for W, b in layers[:-1]:
         h = np.tanh(W @ h + b)
@@ -202,11 +226,14 @@ def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Returns the outputs (N, out_width) and the input of every layer (X,
     then each hidden activation), which `mlp_input_derivative` and
-    `mlp_vjp` take back.
+    `mlp_vjp` take back. Here and in those two, arithmetic on (N, width)
+    arrays is done in place, so a pass holds few such temporaries at once.
     """
     acts = [X]
     for W, b in layers[:-1]:
-        acts.append(np.tanh(np.matmul(acts[-1], W.T) + b))
+        z = np.matmul(acts[-1], W.T)
+        z += b
+        acts.append(np.tanh(z, out=z))
     W, b = layers[-1]
     return np.matmul(acts[-1], W.T) + b, acts
 
@@ -216,8 +243,16 @@ def mlp_input_derivative(layers, acts) -> np.ndarray:
     W0 = layers[0][0]
     d = np.broadcast_to(W0[:, 0], (acts[0].shape[0], W0.shape[0]))
     for (W, _), h in zip(layers[1:], acts[1:]):
-        d = np.matmul((1.0 - h * h) * d, W.T)
+        d = np.matmul(_tanh_slope(h, d), W.T)
     return d
+
+
+def _tanh_slope(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(1 - h * h) * d, in one new array."""
+    s = np.multiply(h, h)
+    np.subtract(1.0, s, out=s)
+    s *= d
+    return s
 
 
 def mlp_vjp(layers, acts, G: np.ndarray) -> np.ndarray:
@@ -232,7 +267,7 @@ def mlp_vjp(layers, acts, G: np.ndarray) -> np.ndarray:
         pieces.append(G.sum(axis=0))
         pieces.append(np.matmul(G.T, a).ravel())
         if i:
-            G = np.matmul(G, layers[i][0]) * (1.0 - a * a)
+            G = _tanh_slope(a, np.matmul(G, layers[i][0]))
     return np.concatenate(pieces[::-1])
 
 
@@ -285,10 +320,25 @@ def params_to_blob(params: MLPParams, seed=None) -> dict:
     }
 
 
-def params_from_blob(blob: dict) -> MLPParams:
-    if blob.get("format") != "tumordyn-mlp-v1":
-        raise ValueError(f"unrecognized checkpoint format: {blob.get('format')!r}")
-    arch = MLPArch(tuple(blob["layer_widths"]))
-    theta = np.array([float.fromhex(h) for h in blob["theta_hex"]])
-    return MLPParams(arch, theta)
+def floats_from_hex(items) -> np.ndarray:
+    """Finite floats from a list of float.hex() strings; ValueError otherwise."""
+    if not (isinstance(items, list) and all(isinstance(h, str) for h in items)):
+        raise ValueError("expected a list of float.hex() strings")
+    try:
+        values = np.array([float.fromhex(h) for h in items])
+    except OverflowError:
+        raise ValueError("a float.hex() value is out of range") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError("checkpoint values must be finite")
+    return values
+
+
+def params_from_blob(blob) -> MLPParams:
+    """Inverse of `params_to_blob`; raises ValueError for anything else."""
+    if not isinstance(blob, dict) or blob.get("format") != "tumordyn-mlp-v1":
+        raise ValueError("not a tumordyn-mlp-v1 network")
+    widths = blob.get("layer_widths")
+    if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
+        raise ValueError(f"layer_widths must be a list of integers, got {widths!r}")
+    return MLPParams(MLPArch(tuple(widths)), floats_from_hex(blob.get("theta_hex")))
 

@@ -1,10 +1,14 @@
 """Fixed-step explicit ODE integration for scalar dynamics.
 
-One float RK4 kernel (`rk4_states`) serves every solve: the standalone
-solver and the training loss both step through it, and it can record the
-input of every stage so `rk4_adjoint` can later sweep back through the
-same discrete steps. That sweep is exact for the discrete solve
+One RK4 kernel (`rk4_states`) serves every solve: the standalone solver
+and the training loss both step through it, and it can record the input of
+every stage so `rk4_adjoint` can later sweep back through the same discrete
+steps. That sweep is exact for the discrete solve
 ("discretise-then-optimise"), not an approximation of a continuous adjoint.
+The kernel steps either one float state or a vector of independent member
+states at once, each member on its own grid; every member's states are
+bitwise those of its own float solve, because the RK4 arithmetic is
+elementwise.
 
 The Gompertz growth law and its closed-form solution live here too: the
 exact solution is the oracle every solver test is measured against.
@@ -74,11 +78,17 @@ class Trajectory:
 
 
 class DivergenceError(ArithmeticError):
-    """Raised when the integrated state turns non-finite."""
+    """Raised when the integrated state turns non-finite.
 
-    def __init__(self, step: int, t: float):
+    In a member solve (see `rk4_states`), `member` is the index of the
+    member whose state turned non-finite and `t` is that member's time; it
+    is None for a float solve. The message is the same either way.
+    """
+
+    def __init__(self, step: int, t: float, member: int | None = None):
         self.step = step
         self.t = t
+        self.member = member
         super().__init__(f"non-finite state at step {step} (t={t:g})")
 
 
@@ -102,11 +112,12 @@ def rk4_step(f, t, y, h, stages=None):
     If `stages` is a list, the (time, state) input of each of the four
     stages is appended to it, in stage order.
     """
-    t_mid = t + 0.5 * h
+    half = 0.5 * h
+    t_mid = t + half
     k1 = f(t, y)
-    y2 = y + (0.5 * h) * k1
+    y2 = y + half * k1
     k2 = f(t_mid, y2)
-    y3 = y + (0.5 * h) * k2
+    y3 = y + half * k2
     k3 = f(t_mid, y3)
     y4 = y + h * k3
     k4 = f(t + h, y4)
@@ -115,19 +126,33 @@ def rk4_step(f, t, y, h, stages=None):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_states(f, v0: float, times, h: float, stages=None) -> list[float]:
+def rk4_states(f, v0, times, h, stages=None) -> list:
     """States at `times` (uniformly spaced by h) of dv/dt = f(t, v) from v0.
 
-    Raises DivergenceError at the first non-finite state. `stages` is
-    passed on to `rk4_step`, so it collects 4 (time, state) pairs per step.
+    A float v0 gives one solve and a list of float states. A (B,) array v0
+    gives B member solves stepped together: member b starts at v0[b] and
+    steps by h[b] along column b of `times` (n + 1, B), f maps (B,) times
+    and states to (B,) values, and each state is a (B,) array whose entry b
+    is bitwise what member b's own float solve gives.
+
+    Raises DivergenceError at the first non-finite state; in a member solve
+    it names the lowest-numbered member that turned non-finite at that step.
+    `stages` is passed on to `rk4_step`, so it collects 4 (time, state)
+    pairs per step.
     """
-    times = np.asarray(times, dtype=float).tolist()
-    v = float(v0)
+    times = np.asarray(times, dtype=float)
+    scalar = np.ndim(v0) == 0
+    rows = times.tolist() if scalar else list(times)
+    v = float(v0) if scalar else np.asarray(v0, dtype=float)
     states = [v]
-    for i in range(len(times) - 1):
-        v = rk4_step(f, times[i], v, h, stages)
-        if not math.isfinite(v):
-            raise DivergenceError(step=i + 1, t=times[i + 1])
+    for i in range(len(rows) - 1):
+        v = rk4_step(f, rows[i], v, h, stages)
+        if scalar:
+            if not math.isfinite(v):
+                raise DivergenceError(step=i + 1, t=rows[i + 1])
+        elif not np.isfinite(v).all():
+            member = int(np.argmin(np.isfinite(v)))
+            raise DivergenceError(step=i + 1, t=float(rows[i + 1][member]), member=member)
         states.append(v)
     return states
 

@@ -87,6 +87,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="ude"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('time_input: "false"\n', "time_input"),
+            ("seed: 1.7\n", "seed"),
+            ("solver_steps: 0\n", "solver_steps"),
+            ("n_collocation: 1\n", "n_collocation"),
+            ("forecast: {fractions: [1.5]}\n", "forecast.fractions"),
+            ("recover: {n_samples: 9}\n", "recover.n_samples"),
+            ("recover: {sig_figs: 0}\n", "recover.sig_figs"),
+            ("data: [a, b]\n", "data"),
+        ],
+    )
+    def test_bad_value_fails_at_load_naming_its_key(self, tmp_path, text, key):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"config key {key}: ")
+
+    def test_integral_and_boolean_values_load(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("seed: 7.0\ntime_input: true\nsolver_steps: 1\nforecast: {fractions: [0.5]}\n")
+        cfg = load_config(path)
+        assert (cfg.seed, cfg.time_input, cfg.solver_steps, cfg.fractions) == (7, True, 1, (0.5,))
+        assert type(cfg.seed) is int
+
     def test_shipped_config_loads(self):
         cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.yaml")
         assert cfg == RunConfig(basis_K_by_subject=cfg.basis_K_by_subject)

@@ -132,6 +132,45 @@ class TestAdjoint:
             rk4_adjoint(np.zeros(3), np.zeros(4), 0.1)
 
 
+class TestMemberSolve:
+    """A (B,) state steps B independent solves, each bitwise its own."""
+
+    @staticmethod
+    def logistic(t, v):
+        return 3.0 * v * (1.0 - v) + 0.1 * t
+
+    def test_each_member_equals_its_float_solve(self):
+        spans = [(0.0, 0.7), (0.05, 0.8), (0.0, 1.0)]
+        v0 = np.array([0.1, 0.02, 0.3])
+        n = 13
+        times = np.column_stack([np.linspace(a, b, n + 1) for a, b in spans])
+        h = np.array([(b - a) / n for a, b in spans])
+        stages = []
+        states = np.array(rk4_states(self.logistic, v0, times, h, stages))
+        for b in range(3):
+            own_stages = []
+            own = rk4_states(self.logistic, float(v0[b]), times[:, b], float(h[b]), own_stages)
+            assert states[:, b].tobytes() == np.array(own).tobytes()
+            assert np.array(stages)[:, :, b].tobytes() == np.array(own_stages).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_names_the_member(self):
+        def f(t, v):
+            return v * v  # dv/dt = v^2 blows up at t = 1 / v0
+
+        n = 40
+        times = np.column_stack([np.linspace(0.0, 1.0, n + 1)] * 3)
+        h = np.full(3, 1.0 / n)
+        v0 = np.array([0.5, 1e153, 1e152])
+        with pytest.raises(DivergenceError) as err:
+            rk4_states(f, v0, times, h)
+        assert err.value.member == 1
+        with pytest.raises(DivergenceError) as alone:
+            rk4_states(f, float(v0[1]), times[:, 1], float(h[1]))
+        assert alone.value.member is None
+        assert (str(err.value), err.value.step, err.value.t) == (str(alone.value), alone.value.step, alone.value.t)
+
+
 class TestEvalAt:
     """Forecasts read a trajectory between its nodes with np.interp."""
 
