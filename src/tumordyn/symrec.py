@@ -7,7 +7,7 @@ growth-law basis functions
     phi1(V) = V            phi2(V) = V * ln(K / V)
     phi3(V) = V * (1 - V/K)   phi4(V) = V^2
 
-with an L1 penalty solved by FISTA over internally rescaled columns. Note
+with an L1 penalty, solved exactly over internally rescaled columns. Note
 phi3 = phi1 - phi4 / K exactly, so the design matrix has rank 3 and the
 penalty (not least squares alone) is what selects among aliased supports.
 Basis indices are 1-based throughout, matching the phi numbering.
@@ -16,6 +16,7 @@ Basis indices are 1-based throughout, matching the phi numbering.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ from .models import DynamicsModel, rhs, solve
 __all__ = [
     "BasisSet",
     "SparseFit",
-    "SparseRegressionError",
     "sample_physical_derivatives",
     "build_design_matrix",
     "sparse_regress",
@@ -46,17 +46,6 @@ class BasisSet:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"carrying capacity must be positive, got {self.K}")
-
-    @property
-    def members(self):
-        """The basis callables in order: V, V ln(K/V), V(1 - V/K), V^2."""
-        K = self.K
-        return (
-            lambda V: V,
-            lambda V: V * np.log(K / V),
-            lambda V: V * (1.0 - V / K),
-            lambda V: V * V,
-        )
 
     def evaluate(self, V: np.ndarray) -> np.ndarray:
         """Rows of the design matrix; requires V > 0 for the log term."""
@@ -87,15 +76,6 @@ class SparseFit:
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "active_set", tuple(int(i) for i in self.active_set))
-
-
-class SparseRegressionError(RuntimeError):
-    """FISTA failed to converge; carries the residual norm of every 1000th
-    iteration and of the last one."""
-
-    def __init__(self, message: str, residual_history=()):
-        self.residual_history = tuple(residual_history)
-        super().__init__(message)
 
 
 def sample_physical_derivatives(
@@ -142,22 +122,25 @@ def sparse_regress(
     y: np.ndarray,
     lam: float | None = None,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 50000,
     threshold_rel: float = 1e-3,
 ) -> SparseFit:
-    """Minimize ||Phi b - y||^2 + lam * ||b||_1 by FISTA.
+    """Minimize ||X c - y||^2 + lam * ||c||_1 exactly, X being Phi with
+    unit-norm columns and c the coefficients in those units.
 
-    Columns are rescaled to unit norm and the targets to unit magnitude
-    internally (so the iterate-change tolerance is scale-free), then the
-    solution is mapped back; coefficients below threshold_rel of the
-    largest are zeroed exactly. Momentum uses gradient-based adaptive
-    restart, which keeps convergence linear on the near-aliased supports
-    this basis produces. lam of None picks `default_lambda`. With lam = 0
-    the iteration reduces to accelerated gradient descent started at zero,
-    which lands on the least-squares solution of minimum norm in the
-    rescaled coordinates (the design matrix is always rank-deficient, see
-    the module docstring).
+    The targets are also rescaled to unit magnitude internally (lam with
+    them), then the solution is mapped back; coefficients below
+    threshold_rel of the largest are zeroed exactly. lam of None picks
+    `default_lambda`.
+
+    The lasso is solved by enumeration: for every support S of linearly
+    independent columns and every sign vector s on it, the stationarity
+    condition gives c_S = (X_S^T X_S)^-1 (X_S^T y - (lam/2) s), which is
+    kept only if sign(c_S) = s. Some lasso solution has independent active
+    columns (Tibshirani, arXiv 1206.0313), so the least objective over
+    these candidates and c = 0 is the optimum. Ties, which the aliased
+    basis allows (see the module docstring), go to the fewest terms, then
+    the lowest indices. With lam = 0 the result is the least-squares
+    solution of minimum norm in the rescaled coordinates.
     """
     Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -177,41 +160,25 @@ def sparse_regress(
     y_scale = float(np.max(np.abs(y))) or 1.0
     ys = y / y_scale
     lam_s = lam / y_scale
-    gram = X.T @ X
-    Xty = X.T @ ys
-    L = 2.0 * float(np.linalg.eigvalsh(gram)[-1])  # Lipschitz constant of the gradient
-
-    b = np.zeros(p)
-    z = b.copy()
-    t_momentum = 1.0
-    residual_history = []
-    converged = False
-    for it in range(max_iter):
-        g = 2.0 * (gram @ z - Xty)
-        b_new = z - g / L
-        if lam_s > 0:
-            shift = lam_s / L
-            b_new = np.sign(b_new) * np.maximum(np.abs(b_new) - shift, 0.0)
-        if np.dot(z - b_new, b_new - b) > 0:
-            # adaptive restart: momentum points uphill, drop it
-            t_momentum = 1.0
-            z = b_new.copy()
-        else:
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            z = b_new + ((t_momentum - 1.0) / t_new) * (b_new - b)
-            t_momentum = t_new
-        if it % 1000 == 0 or it == max_iter - 1:
-            residual_history.append(float(np.linalg.norm(X @ b_new - ys)))
-        if np.max(np.abs(b_new - b)) <= tol:
-            b = b_new
-            converged = True
-            break
-        b = b_new
-    if not converged:
-        raise SparseRegressionError(
-            f"FISTA did not converge within {max_iter} iterations",
-            residual_history=residual_history,
-        )
+    if lam_s == 0:
+        b = np.linalg.lstsq(X, ys, rcond=None)[0]
+    else:
+        best, b = float(ys @ ys), np.zeros(p)
+        for S in (S for k in range(1, p + 1) for S in itertools.combinations(range(p), k)):
+            XS = X[:, S]
+            U, sv, Vt = np.linalg.svd(XS, full_matrices=False)
+            if sv[-1] <= sv[0] * n * np.finfo(float).eps:  # dependent columns
+                continue
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(S))))
+            # (X_S^T X_S)^-1 (X_S^T y - (lam/2) s) through the SVD, whose
+            # error grows with the condition of X_S, not of its Gram matrix
+            coords = ((U.T @ ys) / sv)[:, None] - 0.5 * lam_s * (Vt @ signs.T) / sv[:, None] ** 2
+            for bS, s in zip((Vt.T @ coords).T, signs):
+                r = XS @ bS - ys
+                objective = float(r @ r) + lam_s * float(np.sum(np.abs(bS)))
+                if np.array_equal(np.sign(bS), s) and objective < best:
+                    best, b = objective, np.zeros(p)
+                    b[list(S)] = bS
 
     beta = b * y_scale / norms
     peak = np.max(np.abs(beta))

@@ -9,7 +9,6 @@ from tumordyn.odeint import GompertzParams
 from tumordyn.symrec import (
     BasisSet,
     SparseFit,
-    SparseRegressionError,
     build_design_matrix,
     default_lambda,
     format_expression,
@@ -75,11 +74,6 @@ class TestDesignMatrix:
         # phi3 = phi1 - phi4 / K identically
         Phi = BASIS.evaluate(V_GRID)
         assert np.allclose(Phi[:, 2], Phi[:, 0] - Phi[:, 3] / BASIS.K, rtol=1e-14)
-
-    def test_members_match_design_columns(self):
-        Phi = BASIS.evaluate(V_GRID)
-        for j, phi in enumerate(BASIS.members):
-            assert np.allclose(phi(V_GRID), Phi[:, j], rtol=1e-14)
 
 
 class TestSparseRegress:
@@ -149,15 +143,6 @@ class TestSparseRegress:
         for a, b in zip(residuals, residuals[1:]):
             assert b >= a * (1 - 1e-9) - 1e-12
 
-    def test_non_convergence_carries_a_finite_history(self):
-        Phi = BASIS.evaluate(V_GRID)
-        y = Phi @ np.array([0.0, -7.88, 11.1, 0.0])
-        with pytest.raises(SparseRegressionError) as err:
-            sparse_regress(Phi, y, max_iter=5)
-        history = err.value.residual_history
-        assert len(history) == 2  # the first iteration and the last
-        assert all(math.isfinite(r) and r > 0 for r in history)
-
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             sparse_regress(BASIS.evaluate(np.array([100.0, 200.0])), np.zeros(2))
@@ -167,6 +152,65 @@ class TestSparseRegress:
         y = Phi @ np.array([0.0, 1.0, 0.0, 0.0])
         lam = default_lambda(Phi, y)
         assert 0 < lam < float(np.max(np.abs((Phi / np.linalg.norm(Phi, axis=0)).T @ y)))
+
+    def test_noisy_near_aliased_design_is_solved(self):
+        # FISTA stopped unconverged after 50,000 iterations on this design:
+        # over a narrow V range every pair of terms is nearly collinear
+        rng = np.random.default_rng(1)
+        V = np.sort(rng.uniform(485.0, 771.0, 101))
+        Phi = BASIS.evaluate(V)
+        y = Phi @ np.array([0.33, -1.30, 0.91, 4.5e-4])
+        y = y * (1.0 + 1e-3 * rng.standard_normal(V.size))
+        fit = sparse_regress(Phi, y, threshold_rel=0.0)
+        assert_kkt(Phi, y, fit)
+
+    def test_near_constant_volume_is_solved(self):
+        # a network that barely grows samples V over 0.1 mm^3: the Gram
+        # matrix of {phi1, phi2, phi3} is then singular in floating point,
+        # though the columns are not
+        rng = np.random.default_rng(2)
+        Phi = BASIS.evaluate(np.linspace(80.0, 80.1, 101))
+        y = Phi @ np.array([0.0, -1.8e-3, 0.0, 6e-5]) + 1e-6 * rng.standard_normal(101)
+        fit = sparse_regress(Phi, y, threshold_rel=0.0)
+        assert_kkt(Phi, y, fit)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kkt_on_noisy_designs(self, seed):
+        # V spans between 0.2 and 1000 mm^3; the narrowest make every pair
+        # of terms nearly collinear, as a network that barely grows does
+        rng = np.random.default_rng(100 + seed)
+        width = 10.0 ** rng.uniform(-0.7, 3.0)
+        lo = rng.uniform(20.0, 1190.0 - width)
+        V = np.linspace(lo, lo + width, 101)
+        Phi = BASIS.evaluate(V)
+        beta = rng.standard_normal(4) * np.array([1.0, 1.0, 1.0, 1e-3]) * rng.integers(0, 2, 4)
+        y = Phi @ beta + 0.01 * np.std(Phi @ beta + V) * rng.standard_normal(V.size)
+        fit = sparse_regress(Phi, y, threshold_rel=0.0)
+        assert_kkt(Phi, y, fit)
+
+    def test_tie_goes_to_the_lower_index(self):
+        # columns 2 and 3 are identical, so every split of their weight has
+        # the same objective; the tie rule puts it all on column 2
+        Phi = BASIS.evaluate(V_GRID)
+        Phi = np.column_stack([Phi[:, 0], Phi[:, 1], Phi[:, 1], Phi[:, 3]])
+        y = Phi @ np.array([0.0, 2.0, 2.0, 0.0]) + np.sin(V_GRID)
+        first, second = sparse_regress(Phi, y), sparse_regress(Phi, y)
+        assert first.beta[1] != 0.0
+        assert first.beta[2] == 0.0
+        assert first.beta.tobytes() == second.beta.tobytes()
+
+
+def assert_kkt(Phi, y, fit):
+    """The lasso optimality conditions in the solver's scaled coordinates:
+    unit-norm columns X, targets y / max|y| and the penalty scaled alike."""
+    norms = np.linalg.norm(Phi, axis=0)
+    y_scale = np.max(np.abs(y))
+    X, lam = Phi / norms, fit.lam / y_scale
+    b = fit.beta * norms / y_scale
+    corr = X.T @ (y / y_scale - X @ b)
+    active = b != 0
+    assert np.all(np.abs(corr[active] - 0.5 * lam * np.sign(b[active])) <= 1e-8 * lam)
+    assert np.all(np.abs(corr[~active]) <= 0.5 * lam * (1.0 + 1e-8))
 
 
 class TestGompertzSelfIdentification:
