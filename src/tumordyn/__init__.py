@@ -22,13 +22,7 @@ from .models import (
     train,
 )
 from .neuralnet import MLPArch, MLPParams, init_params
-from .odeint import (
-    GompertzParams,
-    Trajectory,
-    gompertz_exact,
-    gompertz_rhs,
-    integrate_rk4,
-)
+from .odeint import GompertzParams, Trajectory, gompertz_exact, gompertz_rhs
 from .symrec import (
     BasisSet,
     SparseFit,

@@ -9,8 +9,8 @@ networks trained through the lr schedule 0.01/0.005/0.001 for
 the loader does not know, at the top level or inside a section, is an
 error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
 never falls back to a default unnoticed. So is a value of the wrong kind
-or out of range (`time_input: "false"`, `seed: 1.7`, `solver_steps: 0`,
-a forecast fraction outside (0, 1)): it fails at load, not in a stage.
+or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast fraction
+outside (0, 1)): it fails at load, not in a stage.
 
 Example:
 
@@ -52,7 +52,6 @@ class RunConfig:
     seed: int = 123
     n_collocation: int = 21
     solver_steps: int = 100
-    time_input: bool = False
     gompertz_a: float = 0.3
     gompertz_K: float = 1200.0
     node_hidden: tuple[int, ...] = DEFAULT_NEURAL_ODE_HIDDEN
@@ -82,7 +81,6 @@ class RunConfig:
             seed=self.seed,
             solver_steps=self.solver_steps,
             hidden=self.node_hidden,
-            time_input=self.time_input,
         )
 
     def ude_config(self) -> TrainConfig:
@@ -91,7 +89,6 @@ class RunConfig:
             seed=self.seed,
             solver_steps=self.solver_steps,
             hidden=self.ude_hidden,
-            time_input=self.time_input,
         )
 
     def basis_K(self, subject_id: int) -> float:
@@ -101,12 +98,6 @@ class RunConfig:
 def _text(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"must be a string, got {value!r}")
-    return value
-
-
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
     return value
 
 
@@ -167,7 +158,6 @@ _KEYS = {
     ("seed",): ("seed", _int),
     ("n_collocation",): ("n_collocation", _at_least(2)),
     ("solver_steps",): ("solver_steps", _at_least(1)),
-    ("time_input",): ("time_input", _bool),
     ("gompertz", "a"): ("gompertz_a", _float),
     ("gompertz", "K"): ("gompertz_K", _float),
     ("neural_ode", "hidden"): ("node_hidden", _widths),

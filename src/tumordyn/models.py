@@ -1,20 +1,20 @@
 """Dynamics model variants and their full-batch training loop.
 
-Three right-hand sides over the normalized state v(tau):
+Three autonomous right-hand sides f(v) over the normalized state v(tau):
 
   * Gompertz:   a * v * ln(K / v) with fixed parameters
-  * Neural ODE: one tanh MLP mapping v (optionally [v, tau]) to dv/dtau
+  * Neural ODE: one tanh MLP mapping v to dv/dtau
   * UDE:        nn1(v) * v * nn2(v), a Gompertz-shaped product whose rate
                 and saturation factors are learned networks
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
 target volumes. Gradients are exact for the discrete solve: the float RK4
-pass that computes the loss records every stage input; one batched network
-pass over those inputs gives each stage's df/dv, a reverse sweep through
-the RK4 stages (`odeint.rk4_adjoint`) gives each stage's cotangent, and
-one batched vector-Jacobian product through the networks turns those into
-d loss / d theta. Losses are reported on the normalized scale.
+pass that computes the loss records the state entering every stage; one
+batched network pass over those states gives each stage's df/dv, a reverse
+sweep through the RK4 stages (`odeint.rk4_adjoint`) gives each stage's
+cotangent, and one batched vector-Jacobian product through the networks
+turns those into d loss / d theta. Losses are reported on the normalized scale.
 
 Fits of one variant and config on several datasets train as one batch
 (`train_batch`): every evaluation solves all members' losses in one member
@@ -113,29 +113,21 @@ class GompertzModel:
 @dataclass(frozen=True)
 class NeuralODEModel:
     mlp: MLPParams
-    time_input: bool = False
 
     def __post_init__(self):
-        expected = 2 if self.time_input else 1
-        if self.mlp.arch.in_width != expected or self.mlp.arch.out_width != 1:
-            raise ValueError(
-                f"neural ODE network must map {expected} -> 1, got {self.mlp.arch.layer_widths}"
-            )
+        if self.mlp.arch.in_width != 1 or self.mlp.arch.out_width != 1:
+            raise ValueError(f"neural ODE network must map 1 -> 1, got {self.mlp.arch.layer_widths}")
 
 
 @dataclass(frozen=True)
 class UDEModel:
     nn1: MLPParams
     nn2: MLPParams
-    time_input: bool = False
 
     def __post_init__(self):
-        expected = 2 if self.time_input else 1
         for name, net in (("nn1", self.nn1), ("nn2", self.nn2)):
-            if net.arch.in_width != expected or net.arch.out_width != 1:
-                raise ValueError(
-                    f"UDE {name} must map {expected} -> 1, got {net.arch.layer_widths}"
-                )
+            if net.arch.in_width != 1 or net.arch.out_width != 1:
+                raise ValueError(f"UDE {name} must map 1 -> 1, got {net.arch.layer_widths}")
         if self.nn1.arch != self.nn2.arch:
             raise ValueError(
                 "UDE networks must share one architecture, got "
@@ -169,7 +161,6 @@ class TrainConfig:
     seed: int = 123
     solver_steps: int = 100
     hidden: tuple[int, ...] | None = None
-    time_input: bool = False
 
     def __post_init__(self):
         schedule = tuple((float(lr), int(ep)) for lr, ep in self.schedule)
@@ -251,20 +242,20 @@ def _networks(model, theta=None):
 
 
 def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
-    """Build the right-hand side f(t, v) of a model.
+    """Build the right-hand side f(v) of a model.
 
     When `theta` is given it overrides the stored network parameters, which
     is how the training loss rebuilds the networks from the optimizer's
-    iterates. A flat vector gives a float f(t, v). A stack of B vectors
+    iterates. A flat vector gives a float f(v). A stack of B vectors
     (B, n_params) gives the right-hand sides of B members at once, mapping
-    (B,) times and states to (B,) values, each bitwise what the member's
-    own float f gives. `clamp_counter`, a one-element list, enables the
-    state floor for Gompertz solves and counts how often it fires.
+    (B,) states to (B,) values, each bitwise what the member's own float f
+    gives. `clamp_counter`, a one-element list, enables the state floor for
+    Gompertz solves and counts how often it fires.
     """
     if isinstance(model, GompertzModel):
         p = model.params
 
-        def f(t, v):
+        def f(v):
             if clamp_counter is not None and v < _STATE_FLOOR:
                 clamp_counter[0] += 1
                 v = _STATE_FLOOR
@@ -280,29 +271,20 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     n_nets = 1 if isinstance(model, NeuralODEModel) else 2
     arch = model.mlp.arch if n_nets == 1 else model.nn1.arch
     layers = stack_layers(arch, thetas.reshape(*lead, n_nets, arch.n_params))
-    x = np.zeros((*lead, 1, arch.in_width, 1))
-    time_input = model.time_input
+    x = np.zeros((*lead, 1, 1, 1))
 
-    def f(t, v):
+    def f(v):
         x[..., 0, 0, 0] = v
-        if time_input:
-            x[..., 0, 1, 0] = t
         y = mlp_apply(layers, x)[..., 0, 0]
         return y[..., 0] if n_nets == 1 else y[..., 0] * v * y[..., 1]
 
     if lead:
         return f
-    return lambda t, v: float(f(t, v))
+    return lambda v: float(f(v))
 
 
-def _network_batch(model, nets, v: np.ndarray, tau: np.ndarray):
-    """One `mlp_batch` pass per network over the points (v[i], tau[i])."""
-    X = np.column_stack([v, tau]) if model.time_input else v[:, None]
-    return [mlp_batch(layers, X) for layers in nets]
-
-
-def rhs(model: DynamicsModel, v, tau=0.0):
-    """dv/dtau at states v and times tau, scalars or arrays of one shape.
+def rhs(model: DynamicsModel, v):
+    """dv/dtau at states v, a scalar or an array.
 
     Array inputs are evaluated in one batched network pass; scalar inputs
     give a float.
@@ -316,17 +298,17 @@ def rhs(model: DynamicsModel, v, tau=0.0):
         return model.params.a * v * np.log(model.params.K / v)
     if not isinstance(model, (NeuralODEModel, UDEModel)):
         raise TypeError(f"not a dynamics model: {model!r}")
-    v_arr, tau_arr = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(tau, dtype=float))
+    v_arr = np.asarray(v, dtype=float)
     flat_v = v_arr.ravel()
-    outs = [y[:, 0] for y, _ in _network_batch(model, _networks(model), flat_v, tau_arr.ravel())]
+    outs = [mlp_batch(layers, flat_v[:, None])[0][:, 0] for layers in _networks(model)]
     dv = outs[0] if isinstance(model, NeuralODEModel) else outs[0] * flat_v * outs[1]
     return float(dv[0]) if v_arr.ndim == 0 else dv.reshape(v_arr.shape)
 
 
-def _rhs_linearization(model, nets, v: np.ndarray, tau: np.ndarray):
-    """df/dv at each point (v[i], tau[i]), and the map from cotangents on
-    the f values there to the flat gradient with respect to theta."""
-    passes = _network_batch(model, nets, v, tau)
+def _rhs_linearization(model, nets, v: np.ndarray):
+    """df/dv at each state v[i], and the map from cotangents on the f
+    values there to the flat gradient with respect to theta."""
+    passes = [mlp_batch(layers, v[:, None]) for layers in nets]
     if isinstance(model, NeuralODEModel):
         (layers,), ((_, acts),) = nets, passes
         jac = mlp_input_derivative(layers, acts)[:, 0]
@@ -452,9 +434,11 @@ class _CollocationLoss:
         """Each member's recorded solve at its parameters thetas[b]."""
         stages: list = []
         solved = self._solve(thetas, stages)
-        recorded = np.array(stages).reshape(len(stages), 2, len(self.grids))
+        recorded = np.array(stages).reshape(len(stages), len(self.grids))
+        # a contiguous copy for every member: the bits of the weight gradient
+        # in `mlp_vjp` depend on the memory layout of the stage states
         return [
-            _Linearization(self.model, grid, *_collocation_mse(states, grid), recorded[:, 0, b], recorded[:, 1, b])
+            _Linearization(self.model, grid, *_collocation_mse(states, grid), np.ascontiguousarray(recorded[:, b]))
             for b, (states, grid) in enumerate(zip(solved, self.grids))
         ]
 
@@ -466,18 +450,17 @@ class _CollocationLoss:
 
 
 class _Linearization:
-    """One member's recorded solve: its loss and stage inputs.
+    """One member's recorded solve: its loss and stage states.
 
     `value_and_grad(theta)`, at the parameters the solve was made with,
     completes the exact gradient with the reverse sweep.
     """
 
-    def __init__(self, model, grid: _Collocation, value: float, residuals, stage_t, stage_v):
+    def __init__(self, model, grid: _Collocation, value: float, residuals, stage_v):
         self.model = model
         self.grid = grid
         self.value = value
         self.residuals = residuals
-        self.stage_t = stage_t
         self.stage_v = stage_v
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -487,7 +470,7 @@ class _Linearization:
         state_bar = np.zeros(len(grid.times))
         np.add.at(state_bar, grid.index, (1.0 - w) * g)
         np.add.at(state_bar, np.array(grid.index) + 1, w * g)
-        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v, self.stage_t)
+        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v)
         return self.value, vjp(rk4_adjoint(state_bar, jac, grid.h))
 
 
@@ -517,31 +500,25 @@ def model_theta(model: DynamicsModel) -> np.ndarray:
 
 def model_with_theta(model: DynamicsModel, theta: np.ndarray) -> DynamicsModel:
     if isinstance(model, NeuralODEModel):
-        return NeuralODEModel(MLPParams(model.mlp.arch, theta), model.time_input)
+        return NeuralODEModel(MLPParams(model.mlp.arch, theta))
     if isinstance(model, UDEModel):
         n1 = model.nn1.arch.n_params
-        return UDEModel(
-            MLPParams(model.nn1.arch, theta[:n1]),
-            MLPParams(model.nn2.arch, theta[n1:]),
-            model.time_input,
-        )
+        return UDEModel(MLPParams(model.nn1.arch, theta[:n1]), MLPParams(model.nn2.arch, theta[n1:]))
     raise ValueError(f"{variant_name(model)} has no trainable parameter vector")
 
 
 def init_model(variant: str, config: TrainConfig) -> DynamicsModel:
     """Seeded Glorot initialization; UDE networks share one xoshiro stream."""
     rng = Xoshiro256StarStar(config.seed)
-    in_width = 2 if config.time_input else 1
     if variant == "neural_ode":
         hidden = config.hidden if config.hidden is not None else DEFAULT_NEURAL_ODE_HIDDEN
-        arch = MLPArch((in_width, *hidden, 1))
-        return NeuralODEModel(init_params_from_stream(arch, rng), config.time_input)
+        return NeuralODEModel(init_params_from_stream(MLPArch((1, *hidden, 1)), rng))
     if variant == "ude":
         hidden = config.hidden if config.hidden is not None else DEFAULT_UDE_HIDDEN
-        arch = MLPArch((in_width, *hidden, 1))
+        arch = MLPArch((1, *hidden, 1))
         nn1 = init_params_from_stream(arch, rng)
         nn2 = init_params_from_stream(arch, rng)
-        return UDEModel(nn1, nn2, config.time_input)
+        return UDEModel(nn1, nn2)
     raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
 
 
@@ -661,7 +638,7 @@ def save_model(model: DynamicsModel, path, seed=None) -> None:
         blob["a"] = float(model.params.a).hex()
         blob["K"] = float(model.params.K).hex()
     else:
-        blob["time_input"] = model.time_input
+        blob["time_input"] = False  # a format field: every model is autonomous
         if isinstance(model, NeuralODEModel):
             blob["networks"] = [params_to_blob(model.mlp, seed)]
         else:
@@ -683,12 +660,14 @@ def load_model(path) -> DynamicsModel:
         return GompertzModel(GompertzParams(float(a), float(K)))
     if variant not in ("neural_ode", "ude"):
         raise ValueError(f"unknown variant {variant!r} in checkpoint")
+    if blob.get("time_input", False) is not False:
+        raise ValueError(f"time_input must be false (models are autonomous), got {blob['time_input']!r}")
     n_nets = 1 if variant == "neural_ode" else 2
-    networks, time_input = blob.get("networks"), blob.get("time_input", False)
-    if not (isinstance(networks, list) and len(networks) == n_nets and isinstance(time_input, bool)):
-        raise ValueError(f"a {variant} checkpoint needs {n_nets} networks and a boolean time_input")
+    networks = blob.get("networks")
+    if not (isinstance(networks, list) and len(networks) == n_nets):
+        raise ValueError(f"a {variant} checkpoint needs {n_nets} networks")
     nets = [params_from_blob(b) for b in networks]
-    return NeuralODEModel(nets[0], time_input) if n_nets == 1 else UDEModel(*nets, time_input)
+    return NeuralODEModel(nets[0]) if n_nets == 1 else UDEModel(*nets)
 
 
 def write_report_csv(report: TrainReport, path) -> None:

@@ -1,10 +1,11 @@
 """Fixed-step explicit ODE integration for scalar dynamics.
 
-One RK4 kernel (`rk4_states`) serves every solve: the standalone solver
-and the training loss both step through it, and it can record the input of
-every stage so `rk4_adjoint` can later sweep back through the same discrete
-steps. That sweep is exact for the discrete solve
-("discretise-then-optimise"), not an approximation of a continuous adjoint.
+Every growth law here is autonomous, dv/dt = f(v). One RK4 kernel
+(`rk4_states`) serves every solve: the standalone solver and the training
+loss both step through it, and it can record every stage's input state so
+`rk4_adjoint` can later sweep back through the same discrete steps. That
+sweep is exact for the discrete solve ("discretise-then-optimise"), not
+an approximation of a continuous adjoint.
 The kernel steps either one float state or a vector of independent member
 states at once, each member on its own grid; every member's states are
 bitwise those of its own float solve, because the RK4 arithmetic is
@@ -32,7 +33,6 @@ __all__ = [
     "rk4_states",
     "rk4_adjoint",
     "solve_fixed_grid",
-    "integrate_rk4",
     "write_trajectory_csv",
 ]
 
@@ -106,53 +106,51 @@ def gompertz_exact(t, V0: float, p: GompertzParams):
     return p.K * np.exp(np.log(V0 / p.K) * np.exp(-p.a * np.asarray(t, dtype=float)))
 
 
-def rk4_step(f, t, y, h, stages=None):
-    """One classical 4th-order Runge-Kutta step for dy/dt = f(t, y).
+def rk4_step(f, y, h, stages=None):
+    """One classical 4th-order Runge-Kutta step for dy/dt = f(y).
 
-    If `stages` is a list, the (time, state) input of each of the four
-    stages is appended to it, in stage order.
+    If `stages` is a list, the input state of each of the four stages is
+    appended to it, in stage order.
     """
     half = 0.5 * h
-    t_mid = t + half
-    k1 = f(t, y)
+    k1 = f(y)
     y2 = y + half * k1
-    k2 = f(t_mid, y2)
+    k2 = f(y2)
     y3 = y + half * k2
-    k3 = f(t_mid, y3)
+    k3 = f(y3)
     y4 = y + h * k3
-    k4 = f(t + h, y4)
+    k4 = f(y4)
     if stages is not None:
-        stages.extend(((t, y), (t_mid, y2), (t_mid, y3), (t + h, y4)))
+        stages.extend((y, y2, y3, y4))
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_states(f, v0, times, h, stages=None) -> list:
-    """States at `times` (uniformly spaced by h) of dv/dt = f(t, v) from v0.
+    """States at `times` (uniformly spaced by h) of dv/dt = f(v) from v0.
 
     A float v0 gives one solve and a list of float states. A (B,) array v0
     gives B member solves stepped together: member b starts at v0[b] and
-    steps by h[b] along column b of `times` (n + 1, B), f maps (B,) times
-    and states to (B,) values, and each state is a (B,) array whose entry b
-    is bitwise what member b's own float solve gives.
+    steps by h[b] along column b of `times` (n + 1, B), f maps (B,) states
+    to (B,) values, and each state is a (B,) array whose entry b is bitwise
+    what member b's own float solve gives.
 
-    Raises DivergenceError at the first non-finite state; in a member solve
-    it names the lowest-numbered member that turned non-finite at that step.
-    `stages` is passed on to `rk4_step`, so it collects 4 (time, state)
-    pairs per step.
+    Raises DivergenceError, with its time from `times`, at the first
+    non-finite state; in a member solve it names the lowest-numbered member
+    that turned non-finite at that step. `stages` is passed on to
+    `rk4_step`, so it collects 4 stage states per step.
     """
     times = np.asarray(times, dtype=float)
     scalar = np.ndim(v0) == 0
-    rows = times.tolist() if scalar else list(times)
     v = float(v0) if scalar else np.asarray(v0, dtype=float)
     states = [v]
-    for i in range(len(rows) - 1):
-        v = rk4_step(f, rows[i], v, h, stages)
+    for i in range(1, len(times)):
+        v = rk4_step(f, v, h, stages)
         if scalar:
             if not math.isfinite(v):
-                raise DivergenceError(step=i + 1, t=rows[i + 1])
+                raise DivergenceError(step=i, t=float(times[i]))
         elif not np.isfinite(v).all():
             member = int(np.argmin(np.isfinite(v)))
-            raise DivergenceError(step=i + 1, t=float(rows[i + 1][member]), member=member)
+            raise DivergenceError(step=i, t=float(times[i, member]), member=member)
         states.append(v)
     return states
 
@@ -193,7 +191,7 @@ def rk4_adjoint(state_cotangents, stage_jacobians, h: float) -> np.ndarray:
 
 
 def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajectory:
-    """Integrate dv/dt = f(t, v) over [t0, t1] with n_steps RK4 steps."""
+    """Integrate dv/dt = f(v) over [t0, t1] with n_steps RK4 steps."""
     if int(n_steps) != n_steps or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     if not t1 > t0:
@@ -201,11 +199,6 @@ def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajec
     n_steps = int(n_steps)
     times = np.linspace(t0, t1, n_steps + 1)
     return Trajectory(times, rk4_states(f, v0, times, (t1 - t0) / n_steps))
-
-
-def integrate_rk4(rhs, V0: float, t0: float, t1: float, n_steps: int) -> Trajectory:
-    """Fixed-step RK4 for an autonomous scalar field dV/dt = rhs(V)."""
-    return solve_fixed_grid(lambda t, v: rhs(v), V0, t0, t1, n_steps)
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:

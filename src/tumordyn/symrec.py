@@ -98,7 +98,7 @@ def sample_physical_derivatives(
     trajectory = solve(model, v0, (0.0, 1.0), solver_steps)
     taus = np.linspace(0.0, 1.0, int(n))
     v = np.interp(taus, trajectory.times, trajectory.states)
-    dv = rhs(model, v, taus)
+    dv = rhs(model, v)
     scale = norm_map.v_scale / norm_map.t_scale
     return list(zip(norm_map.denormalize_v(v).tolist(), (scale * dv).tolist()))
 

@@ -17,7 +17,7 @@ from tumordyn.config import load_config
 from tumordyn.forecast import SplitSpec, forecast
 from tumordyn.models import NeuralODEModel, TrainConfig, make_loss_fn, train
 from tumordyn.neuralnet import MLPArch, init_params, value_and_grad
-from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs, integrate_rk4
+from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs, solve_fixed_grid
 from tumordyn.symrec import (
     BasisSet,
     build_design_matrix,
@@ -49,7 +49,7 @@ def trained_ude(subject_data):
 def test_criterion_1_integrator_oracle():
     p = GompertzParams(a=0.3, K=1200.0)
     start = time.perf_counter()
-    traj = integrate_rk4(lambda v: gompertz_rhs(v, p), 50.0, 0.0, 10.0, 1000)
+    traj = solve_fixed_grid(lambda v: gompertz_rhs(v, p), 50.0, 0.0, 10.0, 1000)
     elapsed = time.perf_counter() - start
     exact = gompertz_exact(traj.times, 50.0, p)
     max_rel = float(np.max(np.abs(traj.states - exact) / exact))
@@ -57,7 +57,7 @@ def test_criterion_1_integrator_oracle():
 
     errors = []
     for n in (100, 200, 400):
-        t = integrate_rk4(lambda v: gompertz_rhs(v, p), 50.0, 0.0, 10.0, n)
+        t = solve_fixed_grid(lambda v: gompertz_rhs(v, p), 50.0, 0.0, 10.0, n)
         errors.append(abs(t.states[-1] - gompertz_exact(10.0, 50.0, p)))
     orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
     assert all(3.8 <= o <= 4.2 for o in orders)

@@ -76,10 +76,15 @@ class TestConfig:
 
     def test_unknown_keys_named(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("subjcts: [3]\nneural_ode:\n  epochs: 10\n  hidden: [4]\nrecover: {K: 900.0, k: 1}\n")
-        with pytest.raises(ValueError) as err:
-            load_config(path)
-        assert str(err.value) == "unknown config keys: subjcts, neural_ode.epochs, recover.k"
+        for text, keys in [
+            ("subjcts: [3]\nneural_ode:\n  epochs: 10\n  hidden: [4]\nrecover: {K: 900.0, k: 1}\n",
+             "subjcts, neural_ode.epochs, recover.k"),
+            ("seed: 3\ntime_input: false\n", "time_input"),  # a key older configs carried
+        ]:
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                load_config(path)
+            assert str(err.value) == f"unknown config keys: {keys}"
 
     def test_section_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -90,7 +95,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text, key",
         [
-            ('time_input: "false"\n', "time_input"),
             ("seed: 1.7\n", "seed"),
             ("solver_steps: 0\n", "solver_steps"),
             ("n_collocation: 1\n", "n_collocation"),
@@ -107,11 +111,11 @@ class TestConfig:
             load_config(path)
         assert str(err.value).startswith(f"config key {key}: ")
 
-    def test_integral_and_boolean_values_load(self, tmp_path):
+    def test_integral_values_load(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("seed: 7.0\ntime_input: true\nsolver_steps: 1\nforecast: {fractions: [0.5]}\n")
+        path.write_text("seed: 7.0\nsolver_steps: 1\nforecast: {fractions: [0.5]}\n")
         cfg = load_config(path)
-        assert (cfg.seed, cfg.time_input, cfg.solver_steps, cfg.fractions) == (7, True, 1, (0.5,))
+        assert (cfg.seed, cfg.solver_steps, cfg.fractions) == (7, 1, (0.5,))
         assert type(cfg.seed) is int
 
     def test_shipped_config_loads(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from tumordyn.models import (
     train,
     variant_name,
 )
-from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, value_and_grad
+from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, params_to_blob, value_and_grad
 from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs
 
 TINY = TrainConfig(schedule=((0.01, 3),), seed=7, solver_steps=20, hidden=(4,))
@@ -69,15 +70,20 @@ class TestRhs:
         assert rhs(model, 0.0) == 0.0
 
     @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
-    @pytest.mark.parametrize("time_input", [False, True])
-    def test_batched_matches_pointwise(self, variant, time_input):
-        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), hidden=(5, 5), time_input=time_input))
+    def test_batched_matches_pointwise(self, variant):
+        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), hidden=(5, 5)))
         v = np.linspace(-0.2, 1.3, 7)
-        tau = np.linspace(0.0, 1.0, 7)
-        batched = rhs(model, v, tau)
+        batched = rhs(model, v)
         assert batched.shape == (7,)
-        for vi, ti, fi in zip(v, tau, batched):
-            assert fi == pytest.approx(rhs(model, float(vi), float(ti)), rel=1e-13, abs=1e-15)
+        for vi, fi in zip(v, batched):
+            assert fi == pytest.approx(rhs(model, float(vi)), rel=1e-13, abs=1e-15)
+
+    def test_networks_must_map_one_to_one(self):
+        two_in = init_params(MLPArch((2, 4, 1)), 3)
+        with pytest.raises(ValueError, match="1 -> 1"):
+            NeuralODEModel(two_in)
+        with pytest.raises(ValueError, match="1 -> 1"):
+            UDEModel(two_in, two_in)
 
     def test_gompertz_batched_rejects_nonpositive(self):
         model = GompertzModel(GompertzParams(0.3, 1200.0))
@@ -143,7 +149,7 @@ class TestSolve:
 
         counter = [0]
         f = _make_rhs(GompertzModel(GompertzParams(3.0, 1.0)), clamp_counter=counter)
-        out = f(0.0, -1e-15)  # transient overshoot below zero
+        out = f(-1e-15)  # transient overshoot below zero
         assert counter[0] == 1
         assert math.isfinite(out)
 
@@ -227,13 +233,11 @@ class TestTrain:
         assert isinstance(err.value.__cause__, GradientError)
         assert err.value.history == ()
 
-    @pytest.mark.parametrize("time_input", [False, True])
-    def test_ude_loss_gradient_matches_finite_differences(self, time_input):
+    def test_ude_loss_gradient_matches_finite_differences(self):
         data, _, _ = make_collocation_data(11)
         worst = 0.0
         for seed in range(3):
-            cfg = TrainConfig(schedule=((0.01, 1),), seed=seed, solver_steps=20,
-                              hidden=(6, 6), time_input=time_input)
+            cfg = TrainConfig(schedule=((0.01, 1),), seed=seed, solver_steps=20, hidden=(6, 6))
             template = init_model("ude", cfg)
             loss_fn = make_loss_fn(template, data, cfg)
             theta = model_theta(template)
@@ -261,36 +265,6 @@ class TestTrain:
         assert worst < 1e-5
 
 
-class TestTimeInputToggle:
-    CFG = TrainConfig(schedule=((0.01, 2),), seed=7, solver_steps=20, hidden=(4,), time_input=True)
-
-    def test_networks_take_two_inputs(self):
-        node = init_model("neural_ode", self.CFG)
-        assert node.mlp.arch.in_width == 2
-        ude = init_model("ude", self.CFG)
-        assert ude.nn1.arch.in_width == 2
-
-    def test_rhs_depends_on_time(self):
-        model = init_model("neural_ode", self.CFG)
-        assert rhs(model, 0.5, 0.0) != rhs(model, 0.5, 1.0)
-
-    def test_trains_and_gradients_match_finite_differences(self):
-        data, _, _ = make_collocation_data(11)
-        template = init_model("neural_ode", self.CFG)
-        loss_fn = make_loss_fn(template, data, self.CFG)
-        theta = model_theta(template)
-        _, g_ad = value_and_grad(loss_fn, theta)
-        g_fd = central_difference_gradient(loss_fn, theta)
-        assert max_relative_error(g_ad, g_fd) < 1e-5
-        model, report = train("neural_ode", data, self.CFG)
-        assert math.isfinite(report.best_loss)
-
-    def test_mismatched_width_rejected(self):
-        arch = MLPArch((1, 4, 1))
-        with pytest.raises(ValueError):
-            NeuralODEModel(MLPParams(arch, np.zeros(arch.n_params)), time_input=True)
-
-
 class TestThetaHelpers:
     def test_round_trip(self):
         model = init_model("ude", TINY)
@@ -313,6 +287,20 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert variant_name(loaded) == variant
         assert np.array_equal(model_theta(loaded), model_theta(model))
+        assert json.loads(path.read_text())["time_input"] is False
+
+    @pytest.mark.parametrize("value", [True, "false", None])
+    def test_time_input_other_than_false_rejected(self, tmp_path, value):
+        blob = {
+            "format": "tumordyn-model-v1",
+            "variant": "neural_ode",
+            "time_input": value,
+            "networks": [params_to_blob(init_params(MLPArch((2, 4, 1)), 3))],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="time_input"):
+            load_model(path)
 
     def test_gompertz_round_trip(self, tmp_path):
         model = GompertzModel(GompertzParams(0.3, 1200.0))

@@ -9,9 +9,9 @@ from tumordyn.odeint import (
     Trajectory,
     gompertz_exact,
     gompertz_rhs,
-    integrate_rk4,
     rk4_adjoint,
     rk4_states,
+    solve_fixed_grid,
     write_trajectory_csv,
 )
 
@@ -59,19 +59,19 @@ class TestGompertzExact:
 
 class TestIntegrateRk4:
     def test_zero_rhs_constant(self):
-        traj = integrate_rk4(lambda v: 0.0, 7.0, 0.0, 3.0, 10)
+        traj = solve_fixed_grid(lambda v: 0.0, 7.0, 0.0, 3.0, 10)
         assert np.all(traj.states == 7.0)
         assert traj.times.size == 11
 
     def test_matches_analytic_gompertz(self):
-        traj = integrate_rk4(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 10.0, 1000)
+        traj = solve_fixed_grid(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 10.0, 1000)
         exact = gompertz_exact(traj.times, 50.0, P)
         assert np.max(np.abs(traj.states - exact) / exact) <= 1e-8
 
     def test_fourth_order_convergence(self):
         errors = []
         for n in (100, 200, 400):
-            traj = integrate_rk4(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 10.0, n)
+            traj = solve_fixed_grid(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 10.0, n)
             errors.append(abs(traj.states[-1] - gompertz_exact(10.0, 50.0, P)))
         for e_coarse, e_fine in zip(errors, errors[1:]):
             order = math.log2(e_coarse / e_fine)
@@ -82,32 +82,33 @@ class TestIntegrateRk4:
             return math.nan if v > 100.0 else v
 
         with pytest.raises(DivergenceError) as err:
-            integrate_rk4(rhs, 10.0, 0.0, 5.0, 100)
+            solve_fixed_grid(rhs, 10.0, 0.0, 5.0, 100)
         assert err.value.step >= 1
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            integrate_rk4(lambda v: 0.0, 1.0, 0.0, 1.0, 0)
+            solve_fixed_grid(lambda v: 0.0, 1.0, 0.0, 1.0, 0)
         with pytest.raises(ValueError):
-            integrate_rk4(lambda v: 0.0, 1.0, 1.0, 0.0, 10)
+            solve_fixed_grid(lambda v: 0.0, 1.0, 1.0, 0.0, 10)
 
     def test_monotone_and_bounded_below_capacity(self):
-        traj = integrate_rk4(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 40.0, 4000)
+        traj = solve_fixed_grid(lambda v: gompertz_rhs(v, P), 50.0, 0.0, 40.0, 4000)
         assert np.all(np.diff(traj.states) > 0)
         assert np.all(traj.states <= P.K * (1 + 1e-9))
 
     def test_started_at_capacity_stays(self):
-        traj = integrate_rk4(lambda v: gompertz_rhs(v, P), P.K, 0.0, 10.0, 100)
+        traj = solve_fixed_grid(lambda v: gompertz_rhs(v, P), P.K, 0.0, 10.0, 100)
         assert np.max(np.abs(traj.states - P.K)) <= 1e-12 * P.K
 
 
 class TestAdjoint:
     def test_records_four_stages_per_step(self):
         stages = []
-        states = rk4_states(lambda t, v: -v, 1.0, [0.0, 0.5, 1.0], 0.5, stages)
+        states = rk4_states(lambda v: -v, 1.0, [0.0, 0.5, 1.0], 0.5, stages)
         assert len(states) == 3 and len(stages) == 8
-        assert [t for t, _ in stages] == [0.0, 0.25, 0.25, 0.5, 0.5, 0.75, 0.75, 1.0]
-        assert stages[0] == (0.0, 1.0) and stages[4] == (0.5, states[1])
+        # y, y + h/2 k1, y + h/2 k2, y + h k3 for the first step from y = 1
+        assert stages[:4] == [1.0, 0.75, 0.8125, 0.59375]
+        assert stages[4] == states[1]
 
     def test_linear_growth_rate_derivative_is_exact(self):
         # dv/dt = lam * v: RK4 multiplies by R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24
@@ -116,7 +117,7 @@ class TestAdjoint:
         lam, h, n, v0 = -1.3, 0.1, 12, 2.0
         times = np.linspace(0.0, n * h, n + 1)
         stages = []
-        states = rk4_states(lambda t, v: lam * v, v0, times, h, stages)
+        states = rk4_states(lambda v: lam * v, v0, times, h, stages)
         z = lam * h
         R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
         dR = 1 + z + z**2 / 2 + z**3 / 6
@@ -124,7 +125,7 @@ class TestAdjoint:
         seed = np.zeros(n + 1)
         seed[-1] = 1.0
         cot = rk4_adjoint(seed, np.full(4 * n, lam), h)
-        dv_dlam = float(cot @ np.array([y for _, y in stages]))
+        dv_dlam = float(cot @ np.array(stages))
         assert dv_dlam == pytest.approx(v0 * n * R ** (n - 1) * dR * h, rel=1e-13)
 
     def test_rejects_mismatched_lengths(self):
@@ -136,8 +137,8 @@ class TestMemberSolve:
     """A (B,) state steps B independent solves, each bitwise its own."""
 
     @staticmethod
-    def logistic(t, v):
-        return 3.0 * v * (1.0 - v) + 0.1 * t
+    def logistic(v):
+        return 3.0 * v * (1.0 - v)
 
     def test_each_member_equals_its_float_solve(self):
         spans = [(0.0, 0.7), (0.05, 0.8), (0.0, 1.0)]
@@ -151,11 +152,11 @@ class TestMemberSolve:
             own_stages = []
             own = rk4_states(self.logistic, float(v0[b]), times[:, b], float(h[b]), own_stages)
             assert states[:, b].tobytes() == np.array(own).tobytes()
-            assert np.array(stages)[:, :, b].tobytes() == np.array(own_stages).tobytes()
+            assert np.array(stages)[:, b].tobytes() == np.array(own_stages).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_names_the_member(self):
-        def f(t, v):
+        def f(v):
             return v * v  # dv/dt = v^2 blows up at t = 1 / v0
 
         n = 40
