@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, symrec
-from .forecast import forecast_suite, write_cell_csv, write_suite_csv
+from .forecast import score_cells, split_cells, suite_rows, write_cell_csv, write_suite_csv
 from .config import RunConfig, load_config
 from .odeint import GompertzParams, Trajectory, write_trajectory_csv
 from .svgplot import PlotStyle, emit_plot
@@ -51,21 +51,46 @@ class _SubjectContext:
     out_dir: Path
 
 
-def _prepare_subject(config: RunConfig, subject_id: int) -> _SubjectContext:
-    series = dataio.load_series(config.data_path, subject_id)
+def _prepare_subject(config: RunConfig, series: dataio.TumorSeries) -> _SubjectContext:
     norm_map = dataio.make_norm_map(series)
     sigmoid = dataio.fit_sigmoid(series, norm_map)
     samples = dataio.sample_interpolant(sigmoid, config.n_collocation)
     data = [(tau, float(norm_map.normalize_v(v))) for tau, v in samples]
-    out_dir = Path(config.out_dir) / f"subject_{subject_id}"
+    out_dir = Path(config.out_dir) / f"subject_{series.subject_id}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _SubjectContext(subject_id, series, norm_map, sigmoid, data, out_dir)
+    return _SubjectContext(series.subject_id, series, norm_map, sigmoid, data, out_dir)
 
 
 def _physical_targets(ctx: _SubjectContext):
     taus = np.array([t for t, _ in ctx.data])
     volumes = ctx.norm_map.denormalize_v(np.array([v for _, v in ctx.data]))
     return taus, volumes
+
+
+def _train_config(config: RunConfig, variant: str):
+    return config.node_config() if variant == "neural_ode" else config.ude_config()
+
+
+def _train_members(config: RunConfig, variant: str, jobs) -> list[tuple[list, float]]:
+    """Train every dataset of every job as one `models.train_batch`.
+
+    Returns, per job, the training outcome of each of its datasets, and its
+    share of the batch's wall time, in proportion to its number of
+    datasets. An exception from the batch as a whole is every member's
+    outcome.
+    """
+    datasets = [data for job in jobs for data in job]
+    start = time.perf_counter()
+    try:
+        outcomes = models.train_batch(variant, datasets, _train_config(config, variant))
+    except Exception as exc:  # noqa: BLE001 - a batch-wide failure fails each member
+        outcomes = [exc] * len(datasets)
+    seconds = time.perf_counter() - start
+    shares, k = [], 0
+    for job in jobs:
+        shares.append((outcomes[k : k + len(job)], seconds * len(job) / len(datasets)))
+        k += len(job)
+    return shares
 
 
 # --- stages -------------------------------------------------------------
@@ -117,9 +142,12 @@ def stage_gompertz(config: RunConfig, ctx: _SubjectContext) -> dict:
     }
 
 
-def _train_stage(config: RunConfig, ctx: _SubjectContext, variant: str):
-    train_config = config.node_config() if variant == "neural_ode" else config.ude_config()
-    model, report = models.train(variant, ctx.data, train_config)
+def _write_fit(config: RunConfig, ctx: _SubjectContext, variant: str, fit):
+    """Write a full fit's artifacts; `fit` is its training outcome, and an
+    exception there is raised here."""
+    if isinstance(fit, Exception):
+        raise fit
+    model, report = fit
     models.write_report_csv(report, ctx.out_dir / f"{variant}_fit.csv")
     models.save_model(model, ctx.out_dir / f"{variant}.ckpt.json", seed=config.seed)
 
@@ -152,8 +180,12 @@ def _train_stage(config: RunConfig, ctx: _SubjectContext, variant: str):
     return model, chunk
 
 
-def stage_forecast(config: RunConfig, ctx: _SubjectContext) -> list[dict]:
-    configs = {"neural_ode": config.node_config(), "ude": config.ude_config()}
+def stage_forecast(config: RunConfig, ctx: _SubjectContext, cells, fits: dict) -> list[dict]:
+    """Score and write both variants' forecast cells.
+
+    `cells` is `split_cells` of the sorted fractions, and fits[variant]
+    holds the training outcome of each cell that split.
+    """
 
     def write_cell_artifacts(variant, fraction, result):
         pct = int(round(fraction * 100))
@@ -174,13 +206,11 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext) -> list[dict]:
             ),
         )
 
-    rows = forecast_suite(
-        ctx.data,
-        ["neural_ode", "ude"],
-        config.fractions,
-        configs,
-        on_cell=write_cell_artifacts,
-    )
+    fractions = sorted(config.fractions)
+    rows = []
+    for variant in ("neural_ode", "ude"):
+        outcomes = score_cells(variant, ctx.data, fractions, cells, fits[variant], _train_config(config, variant))
+        rows += suite_rows(variant, fractions, outcomes, on_cell=write_cell_artifacts)
     write_suite_csv(rows, ctx.subject_id, ctx.out_dir / "forecast.csv")
     # a failed cell's losses are NaN in forecast.csv and null in summary.json
     return [
@@ -222,48 +252,81 @@ def stage_recover(config: RunConfig, ctx: _SubjectContext, variant: str, model) 
 # --- orchestration -------------------------------------------------------
 
 
-def run_subject(config: RunConfig, subject_id: int) -> dict:
-    """Execute the full pipeline for one subject and write its report.
+class _SubjectRun:
+    """One subject's summary and stage times, filled stage by stage."""
 
-    Stage failures are recorded in the summary and later independent
-    stages still run; an unknown subject raises before any work happens.
-    Returns the summary dict (also written to summary.json; stage wall
-    times go to timings.json so the summary stays run-to-run identical).
-    """
-    ctx = _prepare_subject(config, subject_id)
-    summary: dict = {"subject": subject_id, "errors": []}
-    timings: dict = {}
+    def __init__(self, ctx: _SubjectContext):
+        self.ctx = ctx
+        self.summary: dict = {"subject": ctx.subject_id, "errors": []}
+        self.timings: dict = {}
 
-    def stage(name: str, fn):
+    def stage(self, name: str, fn, batch_seconds: float = 0.0):
+        """fn(), with an exception recorded as the stage's error. The
+        stage's time is fn's wall time plus `batch_seconds`, this subject's
+        share of a training batch run before it."""
         start = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:  # noqa: BLE001 - stage isolation is the contract
-            summary["errors"].append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
+            self.summary["errors"].append({"stage": name, "error": f"{type(exc).__name__}: {exc}"})
             result = None
-        timings[name] = time.perf_counter() - start
+        self.timings[name] = batch_seconds + time.perf_counter() - start
         return result
 
-    summary["sigmoid"] = stage("interpolate", lambda: stage_interpolate(config, ctx))
-    summary["gompertz"] = stage("gompertz", lambda: stage_gompertz(config, ctx))
 
-    trained: dict[str, models.DynamicsModel] = {}
+def _run_pipeline(config: RunConfig, contexts) -> list[dict]:
+    """Every stage for every prepared subject; returns their summaries.
 
-    def train_and_keep(variant):
-        model, chunk = _train_stage(config, ctx, variant)
-        trained[variant] = model
-        return chunk
+    Training is stage-major. Each subject's full fit and forecast cells of
+    one variant are one job. The UDE's narrow forward is bound by per-call
+    overhead, so all subjects' UDE jobs train as one batch; the neural
+    ODE's wide forward is bound by arithmetic, so each subject's trains as
+    a batch of its own. Every member keeps the bits of its solo fit.
+    """
+    runs = [_SubjectRun(ctx) for ctx in contexts]
+    for run in runs:
+        run.summary["sigmoid"] = run.stage("interpolate", lambda: stage_interpolate(config, run.ctx))
+        run.summary["gompertz"] = run.stage("gompertz", lambda: stage_gompertz(config, run.ctx))
+    fractions = sorted(config.fractions)
+    cells = [split_cells(run.ctx.data, fractions) for run in runs]
+    jobs = [[run.ctx.data] + _train_parts(subject_cells) for run, subject_cells in zip(runs, cells)]
+    ude_fits = _train_members(config, "ude", jobs)
+    for run, subject_cells, job, ude_fit in zip(runs, cells, jobs, ude_fits):
+        node_fit = _train_members(config, "neural_ode", [job])[0]
+        _finish_subject(config, run, subject_cells, {"neural_ode": node_fit, "ude": ude_fit})
+        del node_fit  # so the next subject's batch trains without these networks alive
+    return [run.summary for run in runs]
 
-    summary["neural_ode"] = stage("train-node", lambda: train_and_keep("neural_ode"))
-    summary["ude"] = stage("train-ude", lambda: train_and_keep("ude"))
-    summary["forecast"] = stage("forecast", lambda: stage_forecast(config, ctx))
+
+def _train_parts(cells) -> list:
+    """The training partition of each `split_cells` cell that split."""
+    return [cell[0] for cell in cells if not isinstance(cell, Exception)]
+
+
+def _finish_subject(config: RunConfig, run: _SubjectRun, cells, trained: dict) -> None:
+    """Write a subject's fits, forecast cells, recoveries and reports.
+
+    trained[variant] is the subject's job outcome from `_train_members`:
+    the full fit's outcome, then each split cell's, and the job's share of
+    the batch time, which counts toward the variant's training stage.
+    """
+    ctx, summary = run.ctx, run.summary
+    fitted: dict[str, models.DynamicsModel] = {}
+    for variant, stage_name in (("neural_ode", "train-node"), ("ude", "train-ude")):
+        (full, *_), seconds = trained[variant]
+        result = run.stage(stage_name, lambda: _write_fit(config, ctx, variant, full), seconds)
+        if result is not None:
+            fitted[variant], result = result
+        summary[variant] = result
+    cell_fits = {variant: outcomes[1:] for variant, (outcomes, _) in trained.items()}
+    summary["forecast"] = run.stage("forecast", lambda: stage_forecast(config, ctx, cells, cell_fits))
 
     summary["recovered"] = {}
     for variant in ("neural_ode", "ude"):
-        if variant in trained:
-            summary["recovered"][variant] = stage(
+        if variant in fitted:
+            summary["recovered"][variant] = run.stage(
                 f"recover-{variant}",
-                lambda v=variant: stage_recover(config, ctx, v, trained[v]),
+                lambda: stage_recover(config, ctx, variant, fitted[variant]),
             )
         else:
             summary["errors"].append(
@@ -274,7 +337,20 @@ def run_subject(config: RunConfig, subject_id: int) -> dict:
     with open(ctx.out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
     with open(ctx.out_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(run.timings, fh, indent=2, sort_keys=True, allow_nan=False)
+
+
+def run_subject(config: RunConfig, subject_id: int) -> dict:
+    """Execute the full pipeline for one subject and write its report.
+
+    Stage failures are recorded in the summary and later independent
+    stages still run; an unknown subject raises before any work happens.
+    Returns the summary dict (also written to summary.json; stage wall
+    times go to timings.json so the summary stays run-to-run identical).
+    This is `run_all`'s pipeline on a cohort of one.
+    """
+    ctx = _prepare_subject(config, dataio.load_series(config.data_path, subject_id))
+    (summary,) = _run_pipeline(config, [ctx])
     return summary
 
 
@@ -322,21 +398,29 @@ def write_forecast_summary(config: RunConfig, summaries, path) -> None:
 
 
 def run_all(config: RunConfig) -> list[dict]:
-    """run_subject for every configured subject, plus aggregate tables."""
+    """`run_subject` for every configured subject, stage-major, plus
+    aggregate tables.
+
+    The CSV is parsed once. A subject that cannot be prepared (absent, or
+    its series unusable) gets a `prepare` error and the others run on.
+    """
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for sid in config.subjects:
+    summaries, contexts = {}, []
+    for sid, series in zip(config.subjects, dataio.load_cohort(config.data_path, config.subjects)):
         try:
-            summaries.append(run_subject(config, sid))
+            if isinstance(series, Exception):
+                raise series
+            contexts.append(_prepare_subject(config, series))
         except Exception as exc:  # noqa: BLE001 - subject isolation
-            summaries.append(
-                {"subject": sid, "errors": [{"stage": "prepare", "error": f"{type(exc).__name__}: {exc}"}]}
-            )
+            summaries[sid] = {"subject": sid, "errors": [{"stage": "prepare", "error": f"{type(exc).__name__}: {exc}"}]}
+    for summary in _run_pipeline(config, contexts):
+        summaries[summary["subject"]] = summary
+    ordered = [summaries[sid] for sid in config.subjects]
 
-    write_results_table(summaries, out_root / "table_results.csv")
-    write_forecast_summary(config, summaries, out_root / "forecast_summary.csv")
-    return summaries
+    write_results_table(ordered, out_root / "table_results.csv")
+    write_forecast_summary(config, ordered, out_root / "forecast_summary.csv")
+    return ordered
 
 
 # --- entry point ---------------------------------------------------------
@@ -384,17 +468,20 @@ def main(argv=None) -> int:
             return 1 if failures else 0
 
         subject_id = args.subject if args.subject is not None else config.subjects[0]
-        ctx = _prepare_subject(config, subject_id)
+        ctx = _prepare_subject(config, dataio.load_series(config.data_path, subject_id))
         if command == "interpolate":
             stage_interpolate(config, ctx)
         elif command == "gompertz":
             stage_gompertz(config, ctx)
-        elif command == "train-node":
-            _train_stage(config, ctx, "neural_ode")
-        elif command == "train-ude":
-            _train_stage(config, ctx, "ude")
+        elif command in ("train-node", "train-ude"):
+            variant = "neural_ode" if command == "train-node" else "ude"
+            outcomes, _ = _train_members(config, variant, [[ctx.data]])[0]
+            _write_fit(config, ctx, variant, outcomes[0])
         elif command == "forecast":
-            rows = stage_forecast(config, ctx)
+            cells = split_cells(ctx.data, sorted(config.fractions))
+            job = _train_parts(cells)
+            fits = {v: _train_members(config, v, [job])[0][0] for v in ("neural_ode", "ude")}
+            rows = stage_forecast(config, ctx, cells, fits)
             errs = [r for r in rows if r["error"] is not None]
             for r in errs:
                 print(f"[{command} / {r['variant']}@{r['fraction']}] {r['error']}", file=sys.stderr)

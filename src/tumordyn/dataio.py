@@ -32,6 +32,7 @@ __all__ = [
     "SigmoidFitError",
     "volume_from_calipers",
     "load_series",
+    "load_cohort",
     "make_norm_map",
     "fit_sigmoid",
     "sample_interpolant",
@@ -170,8 +171,35 @@ def load_series(path, subject_id: int) -> TumorSeries:
     An absent subject raises SubjectNotFoundError, and a series TumorSeries
     rejects (fewer than 4 points, a volume <= 0) ValueError.
     """
-    rows = []  # (line_no, time, volume)
-    seen_ids = set()
+    (outcome,) = load_cohort(path, [subject_id])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def load_cohort(path, subject_ids) -> list:
+    """`load_series` for each subject id from one parse of the file.
+
+    Returns, per id, its TumorSeries or the exception `load_series` would
+    raise for it; a fault in the file as a whole (a bad header or row) is
+    every subject's exception, as is a file that cannot be read.
+    """
+    try:
+        rows = _read_rows(path)
+    except (OSError, ValueError) as exc:
+        return [exc] * len(subject_ids)
+    outcomes: list = []
+    for subject_id in subject_ids:
+        try:
+            outcomes.append(_series(rows, subject_id))
+        except (LookupError, ValueError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _read_rows(path) -> dict[int, list]:
+    """Every subject's (line_no, time, volume) rows, in file order."""
+    rows: dict[int, list] = {}
     header_seen = False
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -197,21 +225,21 @@ def load_series(path, subject_id: int) -> TumorSeries:
                 raise CsvFormatError(line_no, f"bad numeric value in {line!r}") from None
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise CsvFormatError(line_no, f"non-finite value in {line!r}")
-            seen_ids.add(sid)
-            if sid == subject_id:
-                rows.append((line_no, t, v))
+            rows.setdefault(sid, []).append((line_no, t, v))
     if not header_seen:
         raise CsvFormatError(1, "file has no header row")
-    if not rows:
-        raise SubjectNotFoundError(
-            f"subject {subject_id} not present (available: {sorted(seen_ids)})"
-        )
-    rows.sort(key=lambda r: r[1])
-    for (ln_a, t_a, _), (ln_b, t_b, _) in zip(rows, rows[1:]):
+    return rows
+
+
+def _series(rows: dict[int, list], subject_id: int) -> TumorSeries:
+    if subject_id not in rows:
+        raise SubjectNotFoundError(f"subject {subject_id} not present (available: {sorted(rows)})")
+    ordered = sorted(rows[subject_id], key=lambda r: r[1])
+    for (_, t_a, _), (ln_b, t_b, _) in zip(ordered, ordered[1:]):
         if t_a == t_b:
             raise CsvFormatError(ln_b, f"duplicated time point {t_b} for subject {subject_id}")
-    times = np.array([r[1] for r in rows])
-    volumes = np.array([r[2] for r in rows])
+    times = np.array([r[1] for r in ordered])
+    volumes = np.array([r[2] for r in ordered])
     return TumorSeries(subject_id=subject_id, times=times, volumes=volumes)
 
 

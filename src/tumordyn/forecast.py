@@ -5,6 +5,8 @@ one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
 The cells of one trainable variant train as one batch (`models.train_batch`).
+A caller that trains cells in a larger batch of its own splits them with
+`split_cells` and scores them with `score_cells` and `suite_rows`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ __all__ = [
     "ForecastResult",
     "SuiteRow",
     "split",
+    "split_cells",
+    "score_cells",
+    "suite_rows",
     "forecast",
     "forecast_suite",
     "write_suite_csv",
@@ -82,28 +87,70 @@ def split(data, spec: SplitSpec):
     return train_part, test_part
 
 
-def _forecast_cells(variant: str, data, fractions, config: TrainConfig, gompertz=None) -> list:
-    """A ForecastResult per training fraction, or the exception its cell
-    raised; the cells of a trainable variant train as one batch."""
+def split_cells(data, fractions) -> list:
+    """`split` at each fraction: its (train, test) partition, or the
+    ValueError that split raises."""
     cells: list = []
     for fraction in fractions:
         try:
             cells.append(split(data, SplitSpec(train_fraction=fraction)))
         except ValueError as exc:
             cells.append(exc)
-    ready = [k for k, cell in enumerate(cells) if not isinstance(cell, Exception)]
+    return cells
+
+
+def score_cells(variant: str, data, fractions, cells, fits, config: TrainConfig) -> list:
+    """Each cell's ForecastResult, or the exception that failed it.
+
+    `cells` comes from `split_cells`. `fits` holds, in order, one training
+    outcome per cell that split: a (model, report) pair, with report None
+    for an untrained model, or the exception its training gave.
+    """
+    fits = iter(fits)
+    outcomes: list = []
+    for fraction, cell in zip(fractions, cells):
+        outcome = cell if isinstance(cell, Exception) else next(fits)
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = _result(variant, data, cell, outcome, fraction, config)
+            except (ArithmeticError, ValueError) as exc:
+                outcome = exc
+        outcomes.append(outcome)
+    return outcomes
+
+
+def suite_rows(variant: str, fractions, outcomes, on_cell=None) -> list[SuiteRow]:
+    """One row per cell of `score_cells`; a failed cell's losses are NaN.
+
+    `on_cell`, when given, receives (variant, fraction, ForecastResult) for
+    each scored cell; its exceptions count as that cell's failure.
+    """
+    rows = []
+    for fraction, outcome in zip(fractions, outcomes):
+        if on_cell is not None and not isinstance(outcome, Exception):
+            try:
+                on_cell(variant, fraction, outcome)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                outcome = exc
+        if isinstance(outcome, Exception):
+            rows.append(SuiteRow(variant, fraction, math.nan, math.nan, error=str(outcome)))
+        else:
+            rows.append(SuiteRow(variant, fraction, outcome.train_loss, outcome.test_mse))
+    return rows
+
+
+def _forecast_cells(variant: str, data, fractions, config: TrainConfig, gompertz=None) -> list:
+    """`score_cells` of the fractions' cells; the cells of a trainable
+    variant train as one batch."""
+    cells = split_cells(data, fractions)
+    ready = [cell for cell in cells if not isinstance(cell, Exception)]
     if variant == "gompertz":
         if gompertz is None:
             raise ValueError("the gompertz variant needs explicit GompertzParams")
         fits = [(GompertzModel(gompertz), None)] * len(ready)
     else:
-        fits = train_batch(variant, [cells[k][0] for k in ready], config)
-    for k, fit in zip(ready, fits):
-        try:
-            cells[k] = fit if isinstance(fit, Exception) else _result(variant, data, cells[k], fit, fractions[k], config)
-        except (ArithmeticError, ValueError) as exc:
-            cells[k] = exc
-    return cells
+        fits = train_batch(variant, [train_part for train_part, _ in ready], config)
+    return score_cells(variant, data, fractions, cells, fits, config)
 
 
 def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
@@ -157,9 +204,7 @@ def forecast_suite(
     variant share one initialization, drawn once from the config's seed,
     and train as one batch, each cell with the bits it gets alone; repeated
     runs are identical. A cell that fails, in training or after, leaves the
-    others untouched. `on_cell`, when given, receives (variant, fraction,
-    ForecastResult) after each successful cell; its exceptions count as
-    that cell's failure.
+    others untouched. `on_cell` is that of `suite_rows`.
     """
     rows = []
     cells = sorted(fractions)
@@ -168,16 +213,7 @@ def forecast_suite(
             outcomes = _forecast_cells(variant, data, cells, configs[variant], gompertz)
         except Exception as exc:  # noqa: BLE001 - a variant-wide failure fails each of its cells
             outcomes = [exc] * len(cells)
-        for fraction, outcome in zip(cells, outcomes):
-            if on_cell is not None and not isinstance(outcome, Exception):
-                try:
-                    on_cell(variant, fraction, outcome)
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    outcome = exc
-            if isinstance(outcome, Exception):
-                rows.append(SuiteRow(variant, fraction, math.nan, math.nan, error=str(outcome)))
-            else:
-                rows.append(SuiteRow(variant, fraction, outcome.train_loss, outcome.test_mse))
+        rows += suite_rows(variant, cells, outcomes, on_cell)
     return rows
 
 

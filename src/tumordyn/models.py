@@ -308,21 +308,24 @@ def rhs(model: DynamicsModel, v):
 def _rhs_linearization(model, nets, v: np.ndarray):
     """df/dv at each state v[i], and the map from cotangents on the f
     values there to the flat gradient with respect to theta."""
-    passes = [mlp_batch(layers, v[:, None]) for layers in nets]
+    passes = []
+    for layers in nets:
+        y, acts = mlp_batch(layers, v[:, None])
+        d, slopes = mlp_input_derivative(layers, acts)
+        passes.append((y[:, 0], acts, slopes, d[:, 0]))
     if isinstance(model, NeuralODEModel):
-        (layers,), ((_, acts),) = nets, passes
-        jac = mlp_input_derivative(layers, acts)[:, 0]
-        return jac, lambda c: mlp_vjp(layers, acts, c[:, None])
+        (layers,), ((_, acts, slopes, jac),) = nets, passes
+        return jac, lambda c: mlp_vjp(layers, acts, slopes, c[:, None])
     # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
-    (layers1, layers2), ((y1, acts1), (y2, acts2)) = nets, passes
-    n1, n2 = y1[:, 0], y2[:, 0]
-    d1 = mlp_input_derivative(layers1, acts1)[:, 0]
-    d2 = mlp_input_derivative(layers2, acts2)[:, 0]
+    (layers1, layers2), ((n1, acts1, slopes1, d1), (n2, acts2, slopes2, d2)) = nets, passes
     jac = d1 * v * n2 + n1 * n2 + n1 * v * d2
 
     def vjp(c):
         return np.concatenate(
-            [mlp_vjp(layers1, acts1, (c * v * n2)[:, None]), mlp_vjp(layers2, acts2, (c * n1 * v)[:, None])]
+            [
+                mlp_vjp(layers1, acts1, slopes1, (c * v * n2)[:, None]),
+                mlp_vjp(layers2, acts2, slopes2, (c * n1 * v)[:, None]),
+            ]
         )
 
     return jac, vjp
@@ -565,6 +568,7 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
     """
     template = init_model(variant, config)
     theta = model_theta(template)
+    template = model_with_theta(template, theta)  # one copy of the initial parameters, not two
     outcomes: list = [None] * len(datasets)
     members: dict[int, _Member] = {}
     for i, data in enumerate(datasets):

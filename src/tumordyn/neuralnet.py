@@ -9,7 +9,8 @@ networks of one architecture at once, each on its own input, with the
 same bits as one at a time. A network can also be run on a whole batch of
 inputs at once (`mlp_batch`); its derivative with respect to the first
 input (`mlp_input_derivative`) and the vector-Jacobian product with
-respect to its parameters (`mlp_vjp`) then reuse that pass's activations.
+respect to its parameters (`mlp_vjp`) then reuse that pass's activations,
+and the VJP reuses the tanh slopes the derivative computed.
 Losses built on these supply their own exact gradient to `value_and_grad`.
 """
 
@@ -47,10 +48,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** PRNG (Blackman & Vigna), state seeded via splitmix64."""
 
@@ -65,25 +62,28 @@ class Xoshiro256StarStar:
             state.append(z ^ (z >> 31))
         self._s = state
 
-    def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random mantissa bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
+        """The next n uniform doubles in [0, 1), each from 53 random bits.
+
+        The state walk stays in Python ints; the ** scrambler and the
+        conversion to doubles run on all n outputs at once as uint64
+        arithmetic, which wraps modulo 2**64 like the masked ints would.
+        """
+        s0, s1, s2, s3 = self._s
+        x = np.empty(n, dtype=np.uint64)  # s1 of each step, the scrambler's input
+        for k in range(n):
+            x[k] = s1
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotate left by 45
+        self._s = [s0, s1, s2, s3]
+        x *= np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        return (x >> np.uint64(11)) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -238,36 +238,37 @@ def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.matmul(acts[-1], W.T) + b, acts
 
 
-def mlp_input_derivative(layers, acts) -> np.ndarray:
-    """d output / d X[:, 0] for every row of a `mlp_batch` pass, (N, out_width)."""
+def mlp_input_derivative(layers, acts) -> tuple[np.ndarray, list[np.ndarray]]:
+    """d output / d X[:, 0] for every row of a `mlp_batch` pass, (N,
+    out_width), and the tanh slope 1 - h * h at every hidden activation h,
+    which `mlp_vjp` takes so that each slope is computed once."""
     W0 = layers[0][0]
     d = np.broadcast_to(W0[:, 0], (acts[0].shape[0], W0.shape[0]))
+    slopes = []
     for (W, _), h in zip(layers[1:], acts[1:]):
-        d = np.matmul(_tanh_slope(h, d), W.T)
-    return d
+        s = np.multiply(h, h)
+        slopes.append(np.subtract(1.0, s, out=s))
+        d = s * d
+        d = np.matmul(d, W.T)
+    return d, slopes
 
 
-def _tanh_slope(h: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(1 - h * h) * d, in one new array."""
-    s = np.multiply(h, h)
-    np.subtract(1.0, s, out=s)
-    s *= d
-    return s
-
-
-def mlp_vjp(layers, acts, G: np.ndarray) -> np.ndarray:
+def mlp_vjp(layers, acts, slopes, G: np.ndarray) -> np.ndarray:
     """Flat gradient of sum(G * outputs) for a `mlp_batch` pass.
 
     G (N, out_width) is the cotangent on the outputs; the result is laid
     out like the parameter vector and sums the contributions of all rows.
+    `slopes` are those of `mlp_input_derivative`. The sweep empties `acts`
+    and `slopes` as it passes each layer, so every (N, width) array is
+    freed as soon as it is used: a pass is swept once.
     """
     pieces = []
     for i in range(len(layers) - 1, -1, -1):
-        a = acts[i]
         pieces.append(G.sum(axis=0))
-        pieces.append(np.matmul(G.T, a).ravel())
+        pieces.append(np.matmul(G.T, acts.pop()).ravel())
         if i:
-            G = _tanh_slope(a, np.matmul(G, layers[i][0]))
+            G = np.matmul(G, layers[i][0])
+            G *= slopes.pop()
     return np.concatenate(pieces[::-1])
 
 

@@ -1,12 +1,15 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tumordyn.cli
+import tumordyn.dataio
 import tumordyn.models
 from conftest import SAMPLE_CSV
 from tumordyn.cli import main, run_all, run_subject
@@ -261,14 +264,14 @@ class TestRunSubject:
 
     def test_ude_failure_leaves_node_outputs_intact(self, tiny_config, monkeypatch):
         cfg = load_config(tiny_config)
-        real_train = tumordyn.models.train
+        real_train_batch = tumordyn.models.train_batch
 
-        def failing_train(variant, data, config):
+        def failing_train_batch(variant, datasets, config):
             if variant == "ude":
                 raise RuntimeError("injected failure")
-            return real_train(variant, data, config)
+            return real_train_batch(variant, datasets, config)
 
-        monkeypatch.setattr(tumordyn.models, "train", failing_train)
+        monkeypatch.setattr(tumordyn.models, "train_batch", failing_train_batch)
         summary = run_subject(cfg, 1)
         stages_with_errors = {e["stage"] for e in summary["errors"]}
         assert "train-ude" in stages_with_errors
@@ -309,6 +312,116 @@ class TestRunAll:
         by_subject = {s["subject"]: s for s in summaries}
         assert by_subject[1]["errors"] == []
         assert by_subject[99]["errors"][0]["stage"] == "prepare"
+
+
+def write_config(tmp_path, sample_csv, name, subjects):
+    path = tmp_path / f"{name}.yaml"
+    text = TINY_YAML.format(data=sample_csv, out=tmp_path / name)
+    path.write_text(text.replace("subjects: [1]", f"subjects: {list(subjects)}"))
+    return load_config(path)
+
+
+def subject_artifacts(out, sid) -> dict:
+    """Every deterministic artifact of one subject, by file name."""
+    sdir = out / f"subject_{sid}"
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(sdir.iterdir())
+        if p.suffix in (".csv", ".json", ".svg") and p.name != "timings.json"
+    }
+
+
+class TestStageMajor:
+    """run-all trains by variant across subjects; each subject's files are
+    those of its run alone."""
+
+    def test_cohort_artifacts_equal_runs_alone(self, tmp_path, sample_csv):
+        run_all(write_config(tmp_path, sample_csv, "both", [1, 2]))
+        for sid in (1, 2):
+            run_all(write_config(tmp_path, sample_csv, f"alone_{sid}", [sid]))
+            together = subject_artifacts(tmp_path / "both", sid)
+            assert len(together) == 24
+            assert together == subject_artifacts(tmp_path / f"alone_{sid}", sid)
+            timings = json.loads((tmp_path / "both" / f"subject_{sid}" / "timings.json").read_text())
+            assert sorted(timings) == sorted(
+                ["interpolate", "gompertz", "train-node", "train-ude", "forecast", "recover-neural_ode", "recover-ude"]
+            )
+
+    def test_diverging_ude_member_fails_only_its_own_output(self, tmp_path, sample_csv, monkeypatch):
+        cfg = write_config(tmp_path, sample_csv, "probe", [1, 2])
+        data = {sid: tumordyn.cli._prepare_subject(cfg, load_series(sample_csv, sid)).data for sid in (1, 2)}
+        # subject 2's UDE full fit and subject 1's 60% UDE cell (7 points)
+        # start their solves from NaN
+        poisoned_parts = [data[2], data[1][:7]]
+        real = tumordyn.models._collocation
+
+        def poisoned(part, config):
+            grid = real(part, config)
+            if config.hidden == (4,) and part in poisoned_parts:
+                return replace(grid, targets=[math.nan] + grid.targets[1:])
+            return grid
+
+        monkeypatch.setattr(tumordyn.models, "_collocation", poisoned)
+        summaries = {s["subject"]: s for s in run_all(write_config(tmp_path, sample_csv, "both", [1, 2]))}
+        one, two = summaries[1], summaries[2]
+        assert one["errors"] == []
+        assert [(r["variant"], r["fraction"]) for r in one["forecast"] if r["error"]] == [("ude", 0.6)]
+        assert "non-finite state at step 1" in one["forecast"][2]["error"]
+        assert [e["stage"] for e in two["errors"]] == ["train-ude", "recover-ude"]
+        assert "non-finite state at step 1" in two["errors"][0]["error"]
+        assert all(r["error"] is None for r in two["forecast"])
+        for sid in (1, 2):
+            alone = run_all(write_config(tmp_path, sample_csv, f"alone_{sid}", [sid]))[0]
+            assert alone == summaries[sid]
+            assert subject_artifacts(tmp_path / "both", sid) == subject_artifacts(tmp_path / f"alone_{sid}", sid)
+
+    def test_batches_per_variant(self, tmp_path, sample_csv, monkeypatch):
+        calls = []
+        real = tumordyn.models.train_batch
+
+        def spy(variant, datasets, config):
+            calls.append((variant, len(datasets)))
+            return real(variant, datasets, config)
+
+        monkeypatch.setattr(tumordyn.models, "train_batch", spy)
+        cfg = write_config(tmp_path, sample_csv, "out", [1, 2])
+        run_all(cfg)
+        # one UDE batch of both subjects' full fits and cells, then one
+        # neural-ODE batch per subject
+        assert calls == [("ude", 6), ("neural_ode", 3), ("neural_ode", 3)]
+        calls.clear()
+        args = ["--config", str(tmp_path / "out.yaml"), "--subject", "2"]
+        assert main(["train-ude", *args]) == 0
+        assert main(["forecast", *args]) == 0
+        assert calls == [("ude", 1), ("neural_ode", 2), ("ude", 2)]
+
+    def test_batch_time_is_split_by_members(self, tiny_config, monkeypatch):
+        ticks = iter([10.0, 18.0])
+        monkeypatch.setattr(tumordyn.cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(tumordyn.models, "train_batch", lambda variant, datasets, config: list(datasets))
+        jobs = [["a", "b", "c"], [], ["d"]]
+        shares = tumordyn.cli._train_members(load_config(tiny_config), "ude", jobs)
+        assert shares == [(["a", "b", "c"], 6.0), ([], 0.0), (["d"], 2.0)]
+
+    def test_csv_parsed_once(self, tmp_path, sample_csv, monkeypatch):
+        calls = []
+        real = tumordyn.dataio._read_rows
+        monkeypatch.setattr(tumordyn.dataio, "_read_rows", lambda path: calls.append(path) or real(path))
+        summaries = run_all(write_config(tmp_path, sample_csv, "out", [2, 99, 1]))
+        assert len(calls) == 1
+        assert [s["subject"] for s in summaries] == [2, 99, 1]
+        assert [[e["stage"] for e in s["errors"]] for s in summaries] == [[], ["prepare"], []]
+
+    def test_bad_csv_line_fails_every_subject_naming_it(self, tmp_path, sample_csv, capsys):
+        lines = sample_csv.read_text().splitlines()
+        lines[4] = "1,26,four hundred"
+        sample_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, sample_csv, "out", [1, 2])
+        summaries = run_all(cfg)
+        for s in summaries:
+            assert s["errors"] == [{"stage": "prepare", "error": "CsvFormatError: line 5: bad numeric value in '1,26,four hundred'"}]
+        assert main(["run-all", "--config", str(tmp_path / "out.yaml")]) == 1
+        assert capsys.readouterr().err.count("line 5") == 2
 
 
 class TestMain:

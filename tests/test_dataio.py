@@ -12,6 +12,7 @@ from tumordyn.dataio import (
     SubjectNotFoundError,
     TumorSeries,
     fit_sigmoid,
+    load_cohort,
     load_series,
     make_norm_map,
     sample_interpolant,
@@ -116,6 +117,37 @@ class TestLoadSeries:
         path.write_text("1,22,80\n1,27,400\n")
         with pytest.raises(CsvFormatError):
             load_series(path, 1)
+
+
+class TestLoadCohort:
+    def test_each_subject_as_load_series_gives_it(self, tmp_path, sample_csv):
+        path = tmp_path / "d.csv"
+        # subject 3 has a duplicated time and subject 4 too few points
+        path.write_text(
+            sample_csv.read_text() + "3,10,50\n3,12,60\n3,12,70\n3,14,80\n4,10,50\n4,12,60\n"
+        )
+        ids = [2, 99, 1, 3, 4]
+        for sid, got in zip(ids, load_cohort(path, ids)):
+            try:
+                want = load_series(path, sid)
+            except (LookupError, ValueError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+            else:
+                assert got.subject_id == sid
+                assert np.array_equal(got.times, want.times) and np.array_equal(got.volumes, want.volumes)
+        assert [type(o).__name__ for o in load_cohort(path, ids)] == [
+            "TumorSeries", "SubjectNotFoundError", "TumorSeries", "CsvFormatError", "ValueError"
+        ]
+
+    def test_bad_row_is_every_subjects_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,time_days,volume_mm3\n1,22,80\n2,27,abc\n")
+        outcomes = load_cohort(path, [1, 2, 5])
+        assert all(isinstance(o, CsvFormatError) and o.line_no == 3 for o in outcomes)
+
+    def test_unreadable_file_is_every_subjects_error(self, tmp_path):
+        outcomes = load_cohort(tmp_path / "absent.csv", [1, 2])
+        assert all(isinstance(o, FileNotFoundError) for o in outcomes)
 
 
 class TestNormalizationMap:

@@ -36,6 +36,49 @@ class TestXoshiro:
     def test_seeds_differ(self):
         assert not np.array_equal(Xoshiro256StarStar(1).uniforms(20), Xoshiro256StarStar(2).uniforms(20))
 
+    def test_known_answers(self):
+        # the first draws of seed 123 and of a seed above 2**63, and draw
+        # 1004 of seed 123, pinned from the scalar reference implementation
+        u = Xoshiro256StarStar(123).uniforms(1004)
+        assert [x.hex() for x in u[:4]] == [
+            "0x1.92d47d0e8d034p-3",
+            "0x1.f06bc78ecada9p-1",
+            "0x1.dea8ad1b0fca8p-2",
+            "0x1.041014cd567c0p-3",
+        ]
+        assert u[-1].hex() == "0x1.c09247a8a45fap-1"
+        assert [x.hex() for x in Xoshiro256StarStar(2**63 + 5).uniforms(3)] == [
+            "0x1.683266180071cp-3",
+            "0x1.c38d5d24daf70p-1",
+            "0x1.09232ab8fbe44p-3",
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 3, 123, 901, 2**63 + 5])
+    def test_equals_scalar_reference(self, seed):
+        mask = (1 << 64) - 1
+
+        def rotl(x, k):
+            return ((x << k) | (x >> (64 - k))) & mask
+
+        rng = Xoshiro256StarStar(seed)
+        s0, s1, s2, s3 = rng._s
+        want = []
+        for _ in range(2000):
+            want.append((rotl((s1 * 5) & mask, 7) * 9 & mask) >> 11)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = rotl(s3, 45)
+        assert rng.uniforms(2000).tobytes() == np.array([w * 2.0**-53 for w in want]).tobytes()
+
+    def test_draws_continue_the_stream(self):
+        rng = Xoshiro256StarStar(901)
+        parts = np.concatenate([rng.uniforms(3), rng.uniforms(0), rng.uniforms(5)])
+        assert parts.tobytes() == Xoshiro256StarStar(901).uniforms(8).tobytes()
+
     def test_range_and_spread(self):
         u = Xoshiro256StarStar(7).uniforms(4000)
         assert np.all((u >= 0.0) & (u < 1.0))
@@ -107,7 +150,7 @@ class TestBatch:
         params = init_params(MLPArch((2, 6, 6, 2)), 8)
         layers = unpack_layers(params.arch, params.theta)
         X = np.array([[0.3, -1.0], [-0.7, 0.2], [1.1, 0.5]])
-        d = mlp_input_derivative(layers, mlp_batch(layers, X)[1])
+        d, _ = mlp_input_derivative(layers, mlp_batch(layers, X)[1])
         step = np.array([1e-6, 0.0])
         fd = (mlp_batch(layers, X + step)[0] - mlp_batch(layers, X - step)[0]) / 2e-6
         assert max_relative_error(d, fd) < 1e-6
@@ -115,8 +158,8 @@ class TestBatch:
     def test_single_layer_input_derivative_is_the_weight_column(self):
         params = MLPParams(MLPArch((2, 1)), np.array([2.0, -3.0, 0.5]))
         layers = unpack_layers(params.arch, params.theta)
-        d = mlp_input_derivative(layers, mlp_batch(layers, np.zeros((4, 2)))[1])
-        assert np.array_equal(d, np.full((4, 1), 2.0))
+        d, slopes = mlp_input_derivative(layers, mlp_batch(layers, np.zeros((4, 2)))[1])
+        assert np.array_equal(d, np.full((4, 1), 2.0)) and slopes == []
 
 
 class TestGrad:
@@ -130,7 +173,8 @@ class TestGrad:
             return float(np.sum(out * out))
 
         out, acts = mlp_batch(unpack_layers(arch, params.theta), X)
-        g = mlp_vjp(unpack_layers(arch, params.theta), acts, 2.0 * out)
+        _, slopes = mlp_input_derivative(unpack_layers(arch, params.theta), acts)
+        g = mlp_vjp(unpack_layers(arch, params.theta), acts, slopes, 2.0 * out)
         g_fd = central_difference_gradient(loss_fn, params.theta)
         assert max_relative_error(g, g_fd) < 1e-6
 
