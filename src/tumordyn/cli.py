@@ -11,11 +11,11 @@ Subcommands:
     run-all       everything above for every configured subject, plus
                   aggregate tables
 
-Common flags: --config <yaml>, --subject <id>, --out <dir>, --seed <int>,
---data <csv>. Artifacts land in <out>/subject_<id>/; `run-all` adds
-<out>/table_results.csv and <out>/forecast_summary.csv. Every SVG plot has
-a CSV twin carrying the same numbers. Exit code is 0 only if every stage
-succeeded.
+Common flags, before or after the command: --config <yaml>, --subject <id>,
+--out <dir>, --seed <int>, --data <csv>. Artifacts land in
+<out>/subject_<id>/; `run-all` adds <out>/table_results.csv and
+<out>/forecast_summary.csv. Every SVG plot has a CSV twin carrying the same
+numbers. Exit code is 0 only if every stage succeeded.
 """
 
 from __future__ import annotations
@@ -428,14 +428,13 @@ def run_all(config: RunConfig) -> list[dict]:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tumordyn", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("interpolate", "gompertz", "train-node", "train-ude", "forecast", "recover", "run-all"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="YAML run configuration")
-        p.add_argument("--subject", type=int, default=None, help="subject id")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed")
-        p.add_argument("--data", type=str, default=None, help="input CSV path")
+    commands = ("interpolate", "gompertz", "train-node", "train-ude", "forecast", "recover", "run-all")
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("--config", help="YAML run configuration")
+    parser.add_argument("--subject", type=int, help="subject id")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--seed", type=int, help="PRNG seed")
+    parser.add_argument("--data", help="input CSV path")
     return parser
 
 

@@ -10,7 +10,13 @@ the loader does not know, at the top level or inside a section, is an
 error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
 never falls back to a default unnoticed. So is a value of the wrong kind
 or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast fraction
-outside (0, 1)): it fails at load, not in a stage.
+outside (0, 1), two fractions with the same percent label, an empty
+schedule, a learning rate, Gompertz parameter or basis K that is not
+positive, a negative lambda): it fails at load, not in a stage.
+
+The file is parsed by libyaml's C parser (`yaml.CSafeLoader`: the safe
+constructor and resolver of `yaml.SafeLoader`) where PyYAML was built
+with it, and by the pure-Python `yaml.SafeLoader` otherwise.
 
 Example:
 
@@ -117,6 +123,13 @@ def _float(value) -> float:
     return float(value)
 
 
+def _positive(value) -> float:
+    value = _float(value)
+    if value <= 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return value
+
+
 def _at_least(low):
     return lambda value: _int(value, low)
 
@@ -126,13 +139,19 @@ def _widths(values):
 
 
 def _schedule(stages):
-    return tuple((_float(lr), _int(epochs, 1)) for lr, epochs in stages)
+    schedule = tuple((_positive(lr), _int(epochs, 1)) for lr, epochs in stages)
+    if not schedule:
+        raise ValueError("must have at least one [learning_rate, epochs] stage")
+    return schedule
 
 
 def _fractions(values):
     fractions = tuple(_float(f) for f in values)
     if not all(0.0 < f < 1.0 for f in fractions):
         raise ValueError(f"must lie in (0, 1), got {list(values)}")
+    # each cell's artifacts are named by its percent label
+    if len({int(round(100 * f)) for f in fractions}) != len(fractions):
+        raise ValueError(f"two fractions round to the same percent, got {list(values)}")
     return fractions
 
 
@@ -141,13 +160,16 @@ def _lambda(value):
         return None
     if isinstance(value, str):
         raise ValueError(f"must be a number or 'auto', got {value!r}")
-    return _float(value)
+    lam = _float(value)
+    if lam < 0:
+        raise ValueError(f"must be >= 0, got {value!r}")
+    return lam
 
 
 def _K_by_subject(mapping):
     if not isinstance(mapping, dict):
         raise ValueError(f"must map subject ids to K, got {mapping!r}")
-    return {_int(k): _float(v) for k, v in mapping.items()}
+    return {_int(k): _positive(v) for k, v in mapping.items()}
 
 
 # YAML key, as (key,) or (section, key) -> (RunConfig field, conversion)
@@ -158,8 +180,8 @@ _KEYS = {
     ("seed",): ("seed", _int),
     ("n_collocation",): ("n_collocation", _at_least(2)),
     ("solver_steps",): ("solver_steps", _at_least(1)),
-    ("gompertz", "a"): ("gompertz_a", _float),
-    ("gompertz", "K"): ("gompertz_K", _float),
+    ("gompertz", "a"): ("gompertz_a", _positive),
+    ("gompertz", "K"): ("gompertz_K", _positive),
     ("neural_ode", "hidden"): ("node_hidden", _widths),
     ("neural_ode", "schedule"): ("node_schedule", _schedule),
     ("ude", "hidden"): ("ude_hidden", _widths),
@@ -168,10 +190,13 @@ _KEYS = {
     ("recover", "n_samples"): ("recover_n_samples", _at_least(10)),
     ("recover", "lambda"): ("recover_lambda", _lambda),
     ("recover", "sig_figs"): ("sig_figs", _at_least(1)),
-    ("recover", "K"): ("basis_K_default", _float),
+    ("recover", "K"): ("basis_K_default", _positive),
     ("recover", "K_by_subject"): ("basis_K_by_subject", _K_by_subject),
 }
 _SECTIONS = {key[0] for key in _KEYS if len(key) == 2}
+
+# the C parser where PyYAML has it, with the same safe constructor and resolver
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_config(path=None, **overrides) -> RunConfig:
@@ -187,7 +212,7 @@ def load_config(path=None, **overrides) -> RunConfig:
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             try:
-                raw = yaml.safe_load(fh) or {}
+                raw = yaml.load(fh, Loader=_LOADER) or {}
             except yaml.YAMLError as exc:
                 raise ValueError(f"config file is not valid YAML: {exc}") from None
         if not isinstance(raw, dict):

@@ -323,10 +323,12 @@ def params_to_blob(params: MLPParams, seed=None) -> dict:
 
 def floats_from_hex(items) -> np.ndarray:
     """Finite floats from a list of float.hex() strings; ValueError otherwise."""
-    if not (isinstance(items, list) and all(isinstance(h, str) for h in items)):
+    if not isinstance(items, list):
         raise ValueError("expected a list of float.hex() strings")
     try:
-        values = np.array([float.fromhex(h) for h in items])
+        values = np.fromiter(map(float.fromhex, items), float, len(items))
+    except TypeError:  # an entry that is not a string
+        raise ValueError("expected a list of float.hex() strings") from None
     except OverflowError:
         raise ValueError("a float.hex() value is out of range") from None
     if not np.all(np.isfinite(values)):

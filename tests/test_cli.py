@@ -7,8 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 import tumordyn.cli
+import tumordyn.config
 import tumordyn.dataio
 import tumordyn.models
 from conftest import SAMPLE_CSV
@@ -105,6 +107,16 @@ class TestConfig:
             ("recover: {n_samples: 9}\n", "recover.n_samples"),
             ("recover: {sig_figs: 0}\n", "recover.sig_figs"),
             ("data: [a, b]\n", "data"),
+            ("neural_ode: {schedule: []}\n", "neural_ode.schedule"),
+            ("ude: {schedule: [[0.01, 5], [0.0, 5]]}\n", "ude.schedule"),
+            ("gompertz: {a: 0}\n", "gompertz.a"),
+            ("gompertz: {K: -1200.0}\n", "gompertz.K"),
+            ("recover: {K: 0.0}\n", "recover.K"),
+            ("recover: {K_by_subject: {2: -2100.0}}\n", "recover.K_by_subject"),
+            ("recover: {lambda: -0.1}\n", "recover.lambda"),
+            # both cells would write forecast_<variant>_70.*, the second over the first
+            ("forecast: {fractions: [0.7, 0.704]}\n", "forecast.fractions"),
+            ("forecast: {fractions: [0.5, 0.9, 0.5]}\n", "forecast.fractions"),
         ],
     )
     def test_bad_value_fails_at_load_naming_its_key(self, tmp_path, text, key):
@@ -113,6 +125,28 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             load_config(path)
         assert str(err.value).startswith(f"config key {key}: ")
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", ["default", "cohort"])
+    def test_c_and_python_yaml_loaders_agree(self, tmp_path, monkeypatch, name):
+        if name == "default":
+            path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+        else:  # a 24-subject cohort with a K per subject and shortened schedules
+            path = tmp_path / "cohort.yaml"
+            subjects = list(range(101, 125))
+            path.write_text(
+                f"data: {tmp_path / 'cohort.csv'}\nsubjects: {subjects}\nout_dir: {tmp_path / 'out'}\n"
+                "seed: 41\nneural_ode:\n  schedule: [[0.01, 5]]\nude:\n  schedule:\n"
+                "  - [0.01, 10]\n  - [0.005, 10]\n  - [0.001, 5]\nrecover:\n  K_by_subject:\n"
+                + "".join(f"    {sid}: {900.0 + 45.5 * i!r}\n" for i, sid in enumerate(subjects))
+            )
+        configs = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(tumordyn.config, "_LOADER", loader)
+            configs.append(load_config(path))
+        assert configs[0] == configs[1]
+        if name == "cohort":
+            assert len(configs[0].subjects) == 24 and configs[0].basis_K(124) == 900.0 + 45.5 * 23
 
     def test_integral_values_load(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -427,6 +461,14 @@ class TestStageMajor:
 class TestMain:
     def test_interpolate_exit_zero(self, tiny_config, capsys):
         assert main(["interpolate", "--config", str(tiny_config), "--subject", "1"]) == 0
+
+    def test_flags_before_or_after_the_command(self, tiny_config, capsys):
+        parse = tumordyn.cli._build_parser().parse_args
+        flags = ["--config", str(tiny_config), "--subject", "1", "--seed", "5"]
+        assert parse(["recover", *flags]) == parse([*flags, "recover"]) == parse([*flags[:2], "recover", *flags[2:]])
+        assert main([*flags, "interpolate"]) == 0
+        with pytest.raises(SystemExit):
+            parse(["train", *flags])  # not a command
 
     def test_unknown_subject_exit_one(self, tiny_config, capsys):
         code = main(["interpolate", "--config", str(tiny_config), "--subject", "42"])

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import tumordyn.config
 from conftest import SAMPLE_CSV
 from tumordyn.config import load_config
 from tumordyn.dataio import SubjectNotFoundError, load_series
@@ -89,7 +91,20 @@ def test_load_series(tmp_path):
     assert loaded > 50
 
 
-def test_load_config(tmp_path):
+@pytest.mark.parametrize(
+    "loader",
+    [
+        pytest.param(yaml.SafeLoader, id="SafeLoader"),
+        pytest.param(
+            getattr(yaml, "CSafeLoader", None),
+            id="CSafeLoader",
+            marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml"),
+        ),
+    ],
+)
+def test_load_config(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(tumordyn.config, "_LOADER", loader)
+
     def check(cfg):
         floats = [cfg.gompertz_a, cfg.gompertz_K, cfg.basis_K_default, *cfg.fractions]
         floats += [lr for lr, _ in cfg.node_schedule + cfg.ude_schedule]

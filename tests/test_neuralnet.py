@@ -15,6 +15,7 @@ from tumordyn.neuralnet import (
     MLPParams,
     Xoshiro256StarStar,
     adam_update,
+    floats_from_hex,
     init_params,
     mlp_apply,
     mlp_batch,
@@ -262,3 +263,12 @@ class TestCheckpoint:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             params_from_blob({"format": "something-else"})
+
+    @pytest.mark.parametrize("entry", [1.5, 0, None, True, ["0x1p+0"]])
+    def test_rejects_a_theta_entry_that_is_not_a_string(self, entry):
+        blob = params_to_blob(init_params(MLPArch((1, 3, 1)), 7), seed=7)
+        blob["theta_hex"][4] = entry
+        with pytest.raises(ValueError, match="float.hex"):
+            params_from_blob(blob)
+        with pytest.raises(ValueError, match="float.hex"):
+            floats_from_hex(["0x1p+0", entry])
