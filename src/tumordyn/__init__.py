@@ -11,7 +11,7 @@ from .dataio import (
     sample_interpolant,
     volume_from_calipers,
 )
-from .forecast import ForecastResult, SplitSpec, forecast, forecast_suite, split
+from .forecast import ForecastResult, SplitSpec, forecast, split
 from .models import (
     DynamicsModel,
     GompertzModel,

@@ -6,7 +6,7 @@ Subcommands:
     gompertz      solve the fixed-parameter Gompertz baseline
     train-node    train the neural ODE on the interpolated series
     train-ude     train the Gompertz-structured UDE
-    forecast      run the train-fraction forecast suite
+    forecast      train and score the train-fraction forecast cells
     recover       sparse symbolic recovery from saved model checkpoints
     run-all       everything above for every configured subject, plus
                   aggregate tables
@@ -16,6 +16,10 @@ Common flags, before or after the command: --config <yaml>, --subject <id>,
 <out>/subject_<id>/; `run-all` adds <out>/table_results.csv and
 <out>/forecast_summary.csv. Every SVG plot has a CSV twin carrying the same
 numbers. Exit code is 0 only if every stage succeeded.
+
+Every fit and forecast cell trains through `models.train_batch` and every
+cell is split and scored by `forecast.split_cells`, `score_cells` and
+`suite_rows`; the commands differ only in which fits share a batch.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .config import RunConfig, load_config
 from .odeint import GompertzParams, Trajectory, write_trajectory_csv
 from .svgplot import PlotStyle, emit_plot
 
-__all__ = ["run_subject", "run_all", "main", "emit_plot"]
+__all__ = ["run_all", "main", "emit_plot"]
 
 _CURVE_SAMPLES = 101  # dense grid for plotted curves
 
@@ -340,20 +344,6 @@ def _finish_subject(config: RunConfig, run: _SubjectRun, cells, trained: dict) -
         json.dump(run.timings, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def run_subject(config: RunConfig, subject_id: int) -> dict:
-    """Execute the full pipeline for one subject and write its report.
-
-    Stage failures are recorded in the summary and later independent
-    stages still run; an unknown subject raises before any work happens.
-    Returns the summary dict (also written to summary.json; stage wall
-    times go to timings.json so the summary stays run-to-run identical).
-    This is `run_all`'s pipeline on a cohort of one.
-    """
-    ctx = _prepare_subject(config, dataio.load_series(config.data_path, subject_id))
-    (summary,) = _run_pipeline(config, [ctx])
-    return summary
-
-
 def write_results_table(summaries, path) -> None:
     """Per-subject best losses and recovered expressions."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -398,11 +388,13 @@ def write_forecast_summary(config: RunConfig, summaries, path) -> None:
 
 
 def run_all(config: RunConfig) -> list[dict]:
-    """`run_subject` for every configured subject, stage-major, plus
-    aggregate tables.
+    """Every stage for every configured subject, stage-major, plus
+    aggregate tables; returns the subjects' summaries in config order.
 
     The CSV is parsed once. A subject that cannot be prepared (absent, or
-    its series unusable) gets a `prepare` error and the others run on.
+    its series unusable) gets a `prepare` error and the others run on; a
+    failed stage is recorded in the summary and later independent stages
+    still run. Stage wall times go to timings.json, not the summary.
     """
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,12 @@
 """Declarative run configuration.
 
 A run is fully described by one YAML file; every omitted key falls back to
-the defaults below, so a bare run reproduces the standard pipeline
-(Gompertz baseline a=0.3, K=1200; neural ODE with hidden widths
-[128, 128, 64, 64] trained 500 epochs at lr 0.01; UDE with two [10, 10]
-networks trained through the lr schedule 0.01/0.005/0.001 for
-1000/1000/500 epochs; forecasts at 90/80/70% training fractions). A key
+the defaults below (Gompertz baseline a=0.3, K=1200; neural ODE with hidden
+widths [128, 128, 64, 64] trained 500 epochs at lr 0.01; UDE with two
+[10, 10] networks trained through the lr schedule 0.01/0.005/0.001 for
+1000/1000/500 epochs; forecasts at 90/80/70% training fractions; basis
+K=1200 for every subject). `configs/default.yaml` sets these values plus
+one more, a basis K per subject (`recover.K_by_subject`). A key
 the loader does not know, at the top level or inside a section, is an
 error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
 never falls back to a default unnoticed. So is a value of the wrong kind
@@ -77,9 +78,7 @@ class RunConfig:
             raise ValueError("at least one subject id is required")
         if len(set(self.subjects)) != len(self.subjects):
             raise ValueError(f"duplicate subject ids in {self.subjects}")
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        if not self.fractions:
-            raise ValueError("at least one forecast fraction is required")
+        object.__setattr__(self, "fractions", _fractions(self.fractions))
 
     def node_config(self) -> TrainConfig:
         return TrainConfig(
@@ -147,8 +146,10 @@ def _schedule(stages):
 
 def _fractions(values):
     fractions = tuple(_float(f) for f in values)
+    if not fractions:
+        raise ValueError("at least one forecast fraction is required")
     if not all(0.0 < f < 1.0 for f in fractions):
-        raise ValueError(f"must lie in (0, 1), got {list(values)}")
+        raise ValueError(f"fractions must lie in (0, 1), got {list(values)}")
     # each cell's artifacts are named by its percent label
     if len({int(round(100 * f)) for f in fractions}) != len(fractions):
         raise ValueError(f"two fractions round to the same percent, got {list(values)}")

@@ -262,19 +262,16 @@ def _sigmoid_residual_jacobian(p, tau, V):
     return r, J
 
 
-def fit_sigmoid(
-    series: TumorSeries,
-    norm_map: NormalizationMap,
-    *,
-    max_iter: int = 200,
-    grad_tol: float = 1e-10,
-    step_tol: float = 1e-14,
-) -> SigmoidFit:
+# `fit_sigmoid`'s Levenberg-Marquardt iteration limit and convergence tolerances
+_LM_MAX_ITER, _LM_GRAD_TOL, _LM_STEP_TOL = 200, 1e-10, 1e-14
+
+
+def fit_sigmoid(series: TumorSeries, norm_map: NormalizationMap) -> SigmoidFit:
     """Least-squares logistic fit via Levenberg-Marquardt damping.
 
     Fits physical volumes against normalized time, starting from
     A = min(V), B = range(V), k = 10, tau0 = 0.5. Converges on gradient
-    norm <= grad_tol or on a negligible accepted step; a full damping
+    norm <= _LM_GRAD_TOL or on a negligible accepted step; a full damping
     stall (no descent direction representable) also counts as converged
     since the iterate is then at the numerical optimum.
     """
@@ -289,10 +286,10 @@ def fit_sigmoid(
     lam = 1e-3
     converged = False
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _LM_MAX_ITER:
         iterations += 1
         g = J.T @ r
-        if np.max(np.abs(g)) <= grad_tol:
+        if np.max(np.abs(g)) <= _LM_GRAD_TOL:
             converged = True
             break
         JTJ = J.T @ J
@@ -316,7 +313,7 @@ def fit_sigmoid(
         if not accepted:
             converged = True  # damping exhausted: numerical optimum reached
             break
-        if np.linalg.norm(step) <= step_tol * (1.0 + np.linalg.norm(p)):
+        if np.linalg.norm(step) <= _LM_STEP_TOL * (1.0 + np.linalg.norm(p)):
             converged = True
             break
 

@@ -4,9 +4,9 @@ The split happens in normalized time on the collocation grid. A forecast is
 one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
-The cells of one trainable variant train as one batch (`models.train_batch`).
-A caller that trains cells in a larger batch of its own splits them with
-`split_cells` and scores them with `score_cells` and `suite_rows`.
+Cells take one path: `split_cells`, then `models.train_batch` on their
+training parts, then `score_cells` and `suite_rows` (a failed cell is an
+error row). `run-all` batches cells across subjects; `forecast` is one cell.
 """
 
 from __future__ import annotations
@@ -17,17 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    DynamicsModel,
-    GompertzModel,
-    TrainConfig,
-    TrainReport,
-    loss as model_loss,
-    solve,
-    train,  # noqa: F401 - part of this module's namespace, traced by the benchmark
-    train_batch,
-)
-from .odeint import GompertzParams, Trajectory
+from .models import DynamicsModel, TrainConfig, TrainReport, solve, train_batch
+from .odeint import Trajectory
 
 __all__ = [
     "SplitSpec",
@@ -38,7 +29,6 @@ __all__ = [
     "score_cells",
     "suite_rows",
     "forecast",
-    "forecast_suite",
     "write_suite_csv",
     "write_cell_csv",
 ]
@@ -63,7 +53,7 @@ class ForecastResult:
     test_mse: float
     trajectory: Trajectory
     split_tau: float
-    report: TrainReport | None = None
+    report: TrainReport
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,8 @@ def score_cells(variant: str, data, fractions, cells, fits, config: TrainConfig)
     """Each cell's ForecastResult, or the exception that failed it.
 
     `cells` comes from `split_cells`. `fits` holds, in order, one training
-    outcome per cell that split: a (model, report) pair, with report None
-    for an untrained model, or the exception its training gave.
+    outcome per cell that split: a (model, report) pair from
+    `models.train_batch`, or the exception its training gave.
     """
     fits = iter(fits)
     outcomes: list = []
@@ -119,15 +109,15 @@ def score_cells(variant: str, data, fractions, cells, fits, config: TrainConfig)
     return outcomes
 
 
-def suite_rows(variant: str, fractions, outcomes, on_cell=None) -> list[SuiteRow]:
+def suite_rows(variant: str, fractions, outcomes, on_cell) -> list[SuiteRow]:
     """One row per cell of `score_cells`; a failed cell's losses are NaN.
 
-    `on_cell`, when given, receives (variant, fraction, ForecastResult) for
-    each scored cell; its exceptions count as that cell's failure.
+    `on_cell` receives (variant, fraction, ForecastResult) for each scored
+    cell; its exceptions count as that cell's failure.
     """
     rows = []
     for fraction, outcome in zip(fractions, outcomes):
-        if on_cell is not None and not isinstance(outcome, Exception):
+        if not isinstance(outcome, Exception):
             try:
                 on_cell(variant, fraction, outcome)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
@@ -139,24 +129,9 @@ def suite_rows(variant: str, fractions, outcomes, on_cell=None) -> list[SuiteRow
     return rows
 
 
-def _forecast_cells(variant: str, data, fractions, config: TrainConfig, gompertz=None) -> list:
-    """`score_cells` of the fractions' cells; the cells of a trainable
-    variant train as one batch."""
-    cells = split_cells(data, fractions)
-    ready = [cell for cell in cells if not isinstance(cell, Exception)]
-    if variant == "gompertz":
-        if gompertz is None:
-            raise ValueError("the gompertz variant needs explicit GompertzParams")
-        fits = [(GompertzModel(gompertz), None)] * len(ready)
-    else:
-        fits = train_batch(variant, [train_part for train_part, _ in ready], config)
-    return score_cells(variant, data, fractions, cells, fits, config)
-
-
 def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
     """Solve a fitted cell across the full span and score the test points."""
     (train_part, test_part), (model, report) = cell, fit
-    train_loss = model_loss(model, train_part, config) if report is None else report.best_loss
     trajectory = solve(model, train_part[0][1], (data[0][0], data[-1][0]), config.solver_steps)
     test_taus = np.array([t for t, _ in test_part])
     test_values = np.array([v for _, v in test_part])
@@ -164,7 +139,7 @@ def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
     return ForecastResult(
         variant=variant,
         model=model,
-        train_loss=train_loss,
+        train_loss=report.best_loss,
         test_mse=float(np.mean((predicted - test_values) ** 2)),
         trajectory=trajectory,
         split_tau=fraction,
@@ -172,49 +147,18 @@ def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
     )
 
 
-def forecast(
-    variant: str,
-    data,
-    spec: SplitSpec,
-    config: TrainConfig,
-    gompertz: GompertzParams | None = None,
-) -> ForecastResult:
+def forecast(variant: str, data, spec: SplitSpec, config: TrainConfig) -> ForecastResult:
     """Fit on the training partition, then solve across the full span.
 
-    The Gompertz variant is not trained; it forecasts with the supplied
-    fixed parameters. This is one cell of `forecast_suite`.
+    This is one cell of the path `run-all` takes; the cell's failure is
+    raised.
     """
-    (outcome,) = _forecast_cells(variant, data, [spec.train_fraction], config, gompertz)
+    cell = split(data, spec)
+    fits = train_batch(variant, [cell[0]], config)
+    (outcome,) = score_cells(variant, data, [spec.train_fraction], [cell], fits, config)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def forecast_suite(
-    data,
-    variants,
-    fractions,
-    configs: dict[str, TrainConfig],
-    gompertz: GompertzParams | None = None,
-    on_cell=None,
-) -> list[SuiteRow]:
-    """Evaluate every (variant, fraction) cell; failures become error rows.
-
-    Rows come back sorted by (variant, fraction). The cells of a trainable
-    variant share one initialization, drawn once from the config's seed,
-    and train as one batch, each cell with the bits it gets alone; repeated
-    runs are identical. A cell that fails, in training or after, leaves the
-    others untouched. `on_cell` is that of `suite_rows`.
-    """
-    rows = []
-    cells = sorted(fractions)
-    for variant in sorted(variants):
-        try:
-            outcomes = _forecast_cells(variant, data, cells, configs[variant], gompertz)
-        except Exception as exc:  # noqa: BLE001 - a variant-wide failure fails each of its cells
-            outcomes = [exc] * len(cells)
-        rows += suite_rows(variant, cells, outcomes, on_cell)
-    return rows
 
 
 def write_suite_csv(rows, subject_id: int, path) -> None:

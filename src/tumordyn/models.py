@@ -20,7 +20,9 @@ Fits of one variant and config on several datasets train as one batch
 (`train_batch`): every evaluation solves all members' losses in one member
 RK4 solve, with each stage's networks evaluated as one stack; the reverse
 sweeps and Adam steps stay per member. Each member's results are bitwise
-those of its own `train`, which is the batch of one.
+those of its own `train`, which is the batch of one. `train_batch` is the
+one way the pipeline trains: full fits and forecast cells alike are its
+members.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,7 +209,6 @@ class TrainReport:
     best_loss: float
     best_epoch: int
     loss_history: tuple[float, ...]
-    wall_time: float
 
     def __post_init__(self):
         object.__setattr__(self, "loss_history", tuple(self.loss_history))
@@ -596,7 +596,6 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
         return {}
 
     eval_index = 0
-    start = time.perf_counter()
     for lr, epochs in config.schedule:
         for member in members.values():
             member.adam = AdamState.fresh(theta.size, lr)
@@ -626,7 +625,6 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
             best_loss=member.best_loss,
             best_epoch=member.best_epoch,
             loss_history=tuple(member.history),
-            wall_time=time.perf_counter() - start,
         )
         outcomes[i] = (model_with_theta(template, member.best_theta), report)
     return outcomes

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import tumordyn.models as models
-from conftest import make_collocation_data
-from tumordyn.forecast import SplitSpec, forecast, forecast_suite, write_cell_csv
+from conftest import forecast_cells, make_collocation_data
+from tumordyn.forecast import SplitSpec, forecast, write_cell_csv
 from tumordyn.models import (
     TrainConfig,
     TrainingError,
@@ -116,7 +116,7 @@ def test_suite_cells_equal_solo_forecasts(variant):
     data, _, _ = make_collocation_data(21)
     cfg = config()
     results = {}
-    rows = forecast_suite(data, [variant], [0.9, 0.6, 0.75], {variant: cfg}, on_cell=lambda v, f, r: results.setdefault(f, r))
+    rows = forecast_cells(variant, data, [0.6, 0.75, 0.9], cfg, on_cell=lambda v, f, r: results.setdefault(f, r))
     for row in rows:
         alone = forecast(variant, data, SplitSpec(row.fraction), cfg)
         assert row.error is None
@@ -141,7 +141,7 @@ def test_diverging_cell_fails_alone(variant, monkeypatch, tmp_path):
         directory.mkdir()
         return lambda v, fraction, result: write_cell_csv(result, data, directory / f"{fraction}.csv")
 
-    rows = forecast_suite(data, [variant], [0.7, 0.8, 0.9], {variant: cfg}, on_cell=write_to(tmp_path / "suite"))
+    rows = forecast_cells(variant, data, [0.7, 0.8, 0.9], cfg, on_cell=write_to(tmp_path / "suite"))
     solo_write = write_to(tmp_path / "solo")
     for row in rows:
         try:
@@ -164,5 +164,5 @@ def test_initialization_is_drawn_once_per_batch(monkeypatch):
     real = models.init_model
     monkeypatch.setattr(models, "init_model", lambda *a: calls.append(a) or real(*a))
     data, _, _ = make_collocation_data(11)
-    forecast_suite(data, ["ude"], [0.5, 0.7, 0.9], {"ude": config()})
+    forecast_cells("ude", data, [0.5, 0.7, 0.9], config())
     assert len(calls) == 1

@@ -14,9 +14,9 @@ import tumordyn.config
 import tumordyn.dataio
 import tumordyn.models
 from conftest import SAMPLE_CSV
-from tumordyn.cli import main, run_all, run_subject
+from tumordyn.cli import main, run_all
 from tumordyn.config import RunConfig, load_config
-from tumordyn.dataio import SubjectNotFoundError, load_series, make_norm_map
+from tumordyn.dataio import load_series, make_norm_map
 from tumordyn.svgplot import PlotStyle, emit_plot
 
 TINY_YAML = """\
@@ -117,6 +117,7 @@ class TestConfig:
             # both cells would write forecast_<variant>_70.*, the second over the first
             ("forecast: {fractions: [0.7, 0.704]}\n", "forecast.fractions"),
             ("forecast: {fractions: [0.5, 0.9, 0.5]}\n", "forecast.fractions"),
+            ("forecast: {fractions: []}\n", "forecast.fractions"),
         ],
     )
     def test_bad_value_fails_at_load_naming_its_key(self, tmp_path, text, key):
@@ -163,6 +164,16 @@ class TestConfig:
     def test_empty_subjects_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(subjects=())
+
+    @pytest.mark.parametrize(
+        "fractions, message",
+        [((0.7, 0.704), "same percent"), ((1.5,), r"lie in \(0, 1\)"), ((), "at least one")],
+    )
+    def test_fractions_checked_however_built(self, fractions, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(fractions=fractions)
+        with pytest.raises(ValueError, match=message):
+            load_config(None, fractions=fractions)
 
 
 class TestEmitPlot:
@@ -221,9 +232,11 @@ class TestEmitPlot:
 
 
 class TestRunSubject:
+    """`run_all` on the one-subject config."""
+
     def test_artifacts_and_summary(self, tiny_config):
         cfg = load_config(tiny_config)
-        summary = run_subject(cfg, 1)
+        (summary,) = run_all(cfg)
         assert summary["errors"] == []
         sdir = (tiny_config.parent / "out") / "subject_1"
 
@@ -247,7 +260,7 @@ class TestRunSubject:
         assert (sdir / "timings.json").exists()
 
     def test_physical_losses_scale_by_volume_range(self, tiny_config, sample_csv):
-        summary = run_subject(load_config(tiny_config), 1)
+        (summary,) = run_all(load_config(tiny_config))
         scale = make_norm_map(load_series(sample_csv, 1)).v_scale ** 2
         for variant in ("neural_ode", "ude"):
             fit = summary[variant]
@@ -282,17 +295,19 @@ class TestRunSubject:
         assert wide[1].split(",")[4] != ""
 
     def test_unknown_subject_fails_before_training(self, tiny_config):
-        cfg = load_config(tiny_config)
-        with pytest.raises(SubjectNotFoundError):
-            run_subject(cfg, 99)
+        (summary,) = run_all(load_config(tiny_config, subjects=(99,)))
+        assert [e["stage"] for e in summary["errors"]] == ["prepare"]
+        assert summary["errors"][0]["error"].startswith("SubjectNotFoundError")
+        assert sorted(set(summary) - {"errors"}) == ["subject"]
+        assert not (tiny_config.parent / "out" / "subject_99").exists()
 
     def test_rerun_is_byte_identical(self, tiny_config):
         cfg = load_config(tiny_config)
         sdir = (tiny_config.parent / "out") / "subject_1"
-        run_subject(cfg, 1)
+        run_all(cfg)
         first = {p.name: p.read_bytes() for p in sdir.iterdir() if p.suffix in (".csv", ".json", ".svg")}
         del first["timings.json"]
-        run_subject(cfg, 1)
+        run_all(cfg)
         for name, blob in first.items():
             assert (sdir / name).read_bytes() == blob, name
 
@@ -306,7 +321,7 @@ class TestRunSubject:
             return real_train_batch(variant, datasets, config)
 
         monkeypatch.setattr(tumordyn.models, "train_batch", failing_train_batch)
-        summary = run_subject(cfg, 1)
+        (summary,) = run_all(cfg)
         stages_with_errors = {e["stage"] for e in summary["errors"]}
         assert "train-ude" in stages_with_errors
         assert "recover-ude" in stages_with_errors
