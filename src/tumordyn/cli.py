@@ -17,9 +17,9 @@ Common flags, before or after the command: --config <yaml>, --subject <id>,
 <out>/forecast_summary.csv. Every SVG plot has a CSV twin carrying the same
 numbers. Exit code is 0 only if every stage succeeded.
 
-Every fit and forecast cell trains through `models.train_batch` and every
-cell is split and scored by `forecast.split_cells`, `score_cells` and
-`suite_rows`; the commands differ only in which fits share a batch.
+Every fit and forecast cell trains through `models.train_batch`, and every
+cell is split and scored by `forecast.split_cells` and `score_cells`; the
+commands differ only in which fits share a batch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, symrec
-from .forecast import score_cells, split_cells, suite_rows, write_cell_csv, write_suite_csv
+from .forecast import score_cells, split_cells, write_cell_csv, write_suite_csv
 from .config import RunConfig, load_config
 from .odeint import GompertzParams, Trajectory, write_trajectory_csv
 from .svgplot import PlotStyle, emit_plot
@@ -185,7 +185,7 @@ def _write_fit(config: RunConfig, ctx: _SubjectContext, variant: str, fit):
 
 
 def stage_forecast(config: RunConfig, ctx: _SubjectContext, cells, fits: dict) -> list[dict]:
-    """Score and write both variants' forecast cells.
+    """Score and write both variants' forecast cells; returns their rows.
 
     `cells` is `split_cells` of the sorted fractions, and fits[variant]
     holds the training outcome of each cell that split.
@@ -214,19 +214,19 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext, cells, fits: dict) -
     rows = []
     for variant in ("neural_ode", "ude"):
         outcomes = score_cells(variant, ctx.data, fractions, cells, fits[variant], _train_config(config, variant))
-        rows += suite_rows(variant, fractions, outcomes, on_cell=write_cell_artifacts)
+        for fraction, outcome in zip(fractions, outcomes):
+            # a failed cell's losses are null in summary.json and nan in forecast.csv
+            row = {"variant": variant, "fraction": fraction, "train_loss": None, "test_mse": None, "error": None}
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                write_cell_artifacts(variant, fraction, outcome)
+                row.update(train_loss=outcome.train_loss, test_mse=outcome.test_mse)
+            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                row["error"] = str(exc)
+            rows.append(row)
     write_suite_csv(rows, ctx.subject_id, ctx.out_dir / "forecast.csv")
-    # a failed cell's losses are NaN in forecast.csv and null in summary.json
-    return [
-        {
-            "variant": r.variant,
-            "fraction": r.fraction,
-            "train_loss": None if r.error else r.train_loss,
-            "test_mse": None if r.error else r.test_mse,
-            "error": r.error,
-        }
-        for r in rows
-    ]
+    return rows
 
 
 def stage_recover(config: RunConfig, ctx: _SubjectContext, variant: str, model) -> dict:

@@ -13,7 +13,8 @@ never falls back to a default unnoticed. So is a value of the wrong kind
 or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast fraction
 outside (0, 1), two fractions with the same percent label, an empty
 schedule, a learning rate, Gompertz parameter or basis K that is not
-positive, a negative lambda): it fails at load, not in a stage.
+positive, a negative lambda): it fails where the RunConfig is built, from
+a file or in Python, naming its YAML key, not in a stage.
 
 The file is parsed by libyaml's C parser (`yaml.CSafeLoader`: the safe
 constructor and resolver of `yaml.SafeLoader`) where PyYAML was built
@@ -73,12 +74,11 @@ class RunConfig:
     basis_K_by_subject: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(int(s) for s in self.subjects))
-        if not self.subjects:
-            raise ValueError("at least one subject id is required")
-        if len(set(self.subjects)) != len(self.subjects):
-            raise ValueError(f"duplicate subject ids in {self.subjects}")
-        object.__setattr__(self, "fractions", _fractions(self.fractions))
+        for key, (name, convert) in _KEYS.items():
+            try:
+                object.__setattr__(self, name, convert(getattr(self, name)))
+            except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
+                raise ValueError(f"config key {'.'.join(key)}: {exc}") from None
 
     def node_config(self) -> TrainConfig:
         return TrainConfig(
@@ -156,8 +156,17 @@ def _fractions(values):
     return fractions
 
 
+def _subjects(ids):
+    subjects = tuple(_int(i) for i in ids)
+    if not subjects:
+        raise ValueError("at least one subject id is required")
+    if len(set(subjects)) != len(subjects):
+        raise ValueError(f"duplicate subject ids in {subjects}")
+    return subjects
+
+
 def _lambda(value):
-    if value == "auto":
+    if value is None or value == "auto":
         return None
     if isinstance(value, str):
         raise ValueError(f"must be a number or 'auto', got {value!r}")
@@ -176,7 +185,7 @@ def _K_by_subject(mapping):
 # YAML key, as (key,) or (section, key) -> (RunConfig field, conversion)
 _KEYS = {
     ("data",): ("data_path", _text),
-    ("subjects",): ("subjects", lambda ids: tuple(_int(i) for i in ids)),
+    ("subjects",): ("subjects", _subjects),
     ("out_dir",): ("out_dir", _text),
     ("seed",): ("seed", _int),
     ("n_collocation",): ("n_collocation", _at_least(2)),
@@ -206,8 +215,8 @@ def load_config(path=None, **overrides) -> RunConfig:
     Overrides (e.g. subjects=..., out_dir=..., seed=...) win over the file,
     which wins over the defaults; a null value counts as omitted. Raises
     ValueError naming every key the file sets that the loader does not
-    know, or the first key whose value is of the wrong kind or range; a
-    file that is not YAML raises ValueError too.
+    know; `RunConfig` raises it for the first key whose value is of the
+    wrong kind or range. A file that is not YAML raises ValueError too.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -231,13 +240,6 @@ def load_config(path=None, **overrides) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
-    kwargs: dict[str, Any] = {}
-    for key, value in items:
-        if value is not None:
-            name, convert = _KEYS[key]
-            try:
-                kwargs[name] = convert(value)
-            except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
-                raise ValueError(f"config key {'.'.join(key)}: {exc}") from None
+    kwargs = {_KEYS[key][0]: value for key, value in items if value is not None}
     kwargs.update(overrides)
     return RunConfig(**kwargs)

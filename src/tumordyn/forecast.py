@@ -5,8 +5,9 @@ one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
 Cells take one path: `split_cells`, then `models.train_batch` on their
-training parts, then `score_cells` and `suite_rows` (a failed cell is an
-error row). `run-all` batches cells across subjects; `forecast` is one cell.
+training parts, then `score_cells`, whose outcomes `cli.stage_forecast`
+turns into rows (a failed cell is an error row) for `write_suite_csv`.
+`run-all` batches cells across subjects; `forecast` is one cell.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from .odeint import Trajectory
 __all__ = [
     "SplitSpec",
     "ForecastResult",
-    "SuiteRow",
     "split",
     "split_cells",
     "score_cells",
-    "suite_rows",
     "forecast",
     "write_suite_csv",
     "write_cell_csv",
@@ -54,15 +53,6 @@ class ForecastResult:
     trajectory: Trajectory
     split_tau: float
     report: TrainReport
-
-
-@dataclass(frozen=True)
-class SuiteRow:
-    variant: str
-    fraction: float
-    train_loss: float
-    test_mse: float
-    error: str | None = None
 
 
 def split(data, spec: SplitSpec):
@@ -109,26 +99,6 @@ def score_cells(variant: str, data, fractions, cells, fits, config: TrainConfig)
     return outcomes
 
 
-def suite_rows(variant: str, fractions, outcomes, on_cell) -> list[SuiteRow]:
-    """One row per cell of `score_cells`; a failed cell's losses are NaN.
-
-    `on_cell` receives (variant, fraction, ForecastResult) for each scored
-    cell; its exceptions count as that cell's failure.
-    """
-    rows = []
-    for fraction, outcome in zip(fractions, outcomes):
-        if not isinstance(outcome, Exception):
-            try:
-                on_cell(variant, fraction, outcome)
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                outcome = exc
-        if isinstance(outcome, Exception):
-            rows.append(SuiteRow(variant, fraction, math.nan, math.nan, error=str(outcome)))
-        else:
-            rows.append(SuiteRow(variant, fraction, outcome.train_loss, outcome.test_mse))
-    return rows
-
-
 def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
     """Solve a fitted cell across the full span and score the test points."""
     (train_part, test_part), (model, report) = cell, fit
@@ -162,13 +132,14 @@ def forecast(variant: str, data, spec: SplitSpec, config: TrainConfig) -> Foreca
 
 
 def write_suite_csv(rows, subject_id: int, path) -> None:
+    """One line per cell row: a dict with `variant`, `fraction`,
+    `train_loss` and `test_mse`, where a failed cell's None losses are nan."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject", "variant", "fraction", "train_loss", "test_mse"])
         for row in rows:
-            writer.writerow(
-                [subject_id, row.variant, repr(row.fraction), repr(row.train_loss), repr(row.test_mse)]
-            )
+            losses = [math.nan if row[key] is None else row[key] for key in ("train_loss", "test_mse")]
+            writer.writerow([subject_id, row["variant"], repr(row["fraction"]), *map(repr, losses)])
 
 
 def write_cell_csv(result: ForecastResult, data, path) -> None:

@@ -7,6 +7,10 @@ Three autonomous right-hand sides f(v) over the normalized state v(tau):
   * UDE:        nn1(v) * v * nn2(v), a Gompertz-shaped product whose rate
                 and saturation factors are learned networks
 
+Each class states its variant's facts once: its name (`variant`), the
+floor of a starting state (`floor`) and, for the two network variants that
+train and have checkpoints, their networks (`nets`) and shared `arch`.
+
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
 target volumes. Gradients are exact for the discrete solve: the float RK4
@@ -41,7 +45,6 @@ from .neuralnet import (
     MLPParams,
     Xoshiro256StarStar,
     adam_update,
-    floats_from_hex,
     init_params_from_stream,
     mlp_apply,
     mlp_batch,
@@ -75,10 +78,8 @@ __all__ = [
     "DEFAULT_UDE_HIDDEN",
     "DEFAULT_NEURAL_ODE_SCHEDULE",
     "DEFAULT_UDE_SCHEDULE",
-    "variant_name",
     "rhs",
     "solve",
-    "loss",
     "make_loss_fn",
     "model_theta",
     "model_with_theta",
@@ -96,57 +97,68 @@ DEFAULT_UDE_HIDDEN = (10, 10)
 DEFAULT_NEURAL_ODE_SCHEDULE = ((0.01, 500),)
 DEFAULT_UDE_SCHEDULE = ((0.01, 1000), (0.005, 1000), (0.001, 500))
 
-_STATE_FLOOR = 1e-12  # Gompertz solves floor the state here before the log
-
-# The UDE rhs is proportional to v, so v = 0 is an invariant equilibrium:
-# a solve started at or below zero can never reach positive targets. The
-# sigmoid interpolant can undershoot the smallest measurement, putting the
-# normalized initial value slightly below zero, so data-derived initial
-# states are floored here.
-_UDE_INITIAL_FLOOR = 1e-3
-
 
 @dataclass(frozen=True)
 class GompertzModel:
     params: GompertzParams
+    variant = "gompertz"
+    floor = 1e-12  # Gompertz solves also floor the state here before the log
 
 
-@dataclass(frozen=True)
-class NeuralODEModel:
-    mlp: MLPParams
+class _NetworkModel:
+    """A variant built from tanh networks: `nets`, its MLPParams in order,
+    each mapping 1 -> 1, all of one architecture `arch`."""
 
     def __post_init__(self):
-        if self.mlp.arch.in_width != 1 or self.mlp.arch.out_width != 1:
-            raise ValueError(f"neural ODE network must map 1 -> 1, got {self.mlp.arch.layer_widths}")
+        for net in self.nets:
+            if net.arch.in_width != 1 or net.arch.out_width != 1:
+                raise ValueError(f"{self.variant} networks must map 1 -> 1, got {net.arch.layer_widths}")
+        if any(net.arch != self.arch for net in self.nets):
+            widths = " and ".join(str(net.arch.layer_widths) for net in self.nets)
+            raise ValueError(f"{self.variant} networks must share one architecture, got {widths}")
+
+    @property
+    def arch(self) -> MLPArch:
+        return self.nets[0].arch
 
 
 @dataclass(frozen=True)
-class UDEModel:
+class NeuralODEModel(_NetworkModel):
+    mlp: MLPParams
+    variant = "neural_ode"
+    floor = -math.inf  # no floor: the neural ODE takes v0 as given
+
+    @property
+    def nets(self) -> tuple[MLPParams, ...]:
+        return (self.mlp,)
+
+
+@dataclass(frozen=True)
+class UDEModel(_NetworkModel):
     nn1: MLPParams
     nn2: MLPParams
+    variant = "ude"
+    # f is proportional to v, so no solve started at v <= 0 reaches positive
+    # targets, and the sigmoid interpolant can undershoot the smallest
+    # measurement, putting the normalized initial value slightly below zero
+    floor = 1e-3
 
-    def __post_init__(self):
-        for name, net in (("nn1", self.nn1), ("nn2", self.nn2)):
-            if net.arch.in_width != 1 or net.arch.out_width != 1:
-                raise ValueError(f"UDE {name} must map 1 -> 1, got {net.arch.layer_widths}")
-        if self.nn1.arch != self.nn2.arch:
-            raise ValueError(
-                "UDE networks must share one architecture, got "
-                f"{self.nn1.arch.layer_widths} and {self.nn2.arch.layer_widths}"
-            )
+    @property
+    def nets(self) -> tuple[MLPParams, ...]:
+        return (self.nn1, self.nn2)
 
 
 DynamicsModel = GompertzModel | NeuralODEModel | UDEModel
 
+# trainable variant name -> (class, network count, default hidden widths)
+_TRAINABLE = {"neural_ode": (NeuralODEModel, 1, DEFAULT_NEURAL_ODE_HIDDEN), "ude": (UDEModel, 2, DEFAULT_UDE_HIDDEN)}
 
-def variant_name(model: DynamicsModel) -> str:
-    if isinstance(model, GompertzModel):
-        return "gompertz"
-    if isinstance(model, NeuralODEModel):
-        return "neural_ode"
-    if isinstance(model, UDEModel):
-        return "ude"
-    raise TypeError(f"not a dynamics model: {model!r}")
+
+def _trainable(model):
+    """`model` if it is built from networks; ValueError otherwise."""
+    if not isinstance(model, _NetworkModel):
+        raise ValueError(f"{type(model).__name__} has no networks to train or save")
+    return model
 
 
 @dataclass(frozen=True)
@@ -228,17 +240,9 @@ class TrainingError(RuntimeError):
 # --- right-hand sides -------------------------------------------------
 
 
-def _networks(model, theta=None):
-    """Layer lists of the model's networks, from `theta` if given."""
-    if isinstance(model, NeuralODEModel):
-        net_theta = model.mlp.theta if theta is None else theta
-        return [unpack_layers(model.mlp.arch, net_theta)]
-    if theta is None:
-        th1, th2 = model.nn1.theta, model.nn2.theta
-    else:
-        n1 = model.nn1.arch.n_params
-        th1, th2 = theta[:n1], theta[n1:]
-    return [unpack_layers(model.nn1.arch, th1), unpack_layers(model.nn2.arch, th2)]
+def _networks(model, theta):
+    """Layer lists of the model's networks from the flat vector `theta`."""
+    return [unpack_layers(model.arch, part) for part in theta.reshape(len(model.nets), -1)]
 
 
 def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
@@ -253,23 +257,20 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     Gompertz solves and counts how often it fires.
     """
     if isinstance(model, GompertzModel):
-        p = model.params
+        p, floor = model.params, model.floor
 
         def f(v):
-            if clamp_counter is not None and v < _STATE_FLOOR:
+            if clamp_counter is not None and v < floor:
                 clamp_counter[0] += 1
-                v = _STATE_FLOOR
+                v = floor
             return gompertz_rhs(v, p)
 
         return f
 
-    if not isinstance(model, (NeuralODEModel, UDEModel)):
-        raise TypeError(f"not a dynamics model: {model!r}")
     thetas = model_theta(model) if theta is None else theta
     lead = thetas.shape[:-1]
     # the networks of a model share one architecture, so they run as one stack
-    n_nets = 1 if isinstance(model, NeuralODEModel) else 2
-    arch = model.mlp.arch if n_nets == 1 else model.nn1.arch
+    n_nets, arch = len(model.nets), model.arch
     layers = stack_layers(arch, thetas.reshape(*lead, n_nets, arch.n_params))
     x = np.zeros((*lead, 1, 1, 1))
 
@@ -296,26 +297,23 @@ def rhs(model: DynamicsModel, v):
         if np.any(v <= 0):
             raise ValueError(f"Gompertz rhs requires V > 0, got min V={v.min()}")
         return model.params.a * v * np.log(model.params.K / v)
-    if not isinstance(model, (NeuralODEModel, UDEModel)):
-        raise TypeError(f"not a dynamics model: {model!r}")
     v_arr = np.asarray(v, dtype=float)
-    flat_v = v_arr.ravel()
-    outs = [mlp_batch(layers, flat_v[:, None])[0][:, 0] for layers in _networks(model)]
-    dv = outs[0] if isinstance(model, NeuralODEModel) else outs[0] * flat_v * outs[1]
+    dv = _rhs_linearization(_networks(model, model_theta(model)), v_arr.ravel())[0]
     return float(dv[0]) if v_arr.ndim == 0 else dv.reshape(v_arr.shape)
 
 
-def _rhs_linearization(model, nets, v: np.ndarray):
-    """df/dv at each state v[i], and the map from cotangents on the f
-    values there to the flat gradient with respect to theta."""
+def _rhs_linearization(nets, v: np.ndarray):
+    """f and df/dv at each state v[i] of a model with networks `nets`, and
+    the map from cotangents on the f values there to the flat gradient with
+    respect to theta."""
     passes = []
     for layers in nets:
         y, acts = mlp_batch(layers, v[:, None])
         d, slopes = mlp_input_derivative(layers, acts)
         passes.append((y[:, 0], acts, slopes, d[:, 0]))
-    if isinstance(model, NeuralODEModel):
-        (layers,), ((_, acts, slopes, jac),) = nets, passes
-        return jac, lambda c: mlp_vjp(layers, acts, slopes, c[:, None])
+    if len(nets) == 1:
+        (layers,), ((f, acts, slopes, jac),) = nets, passes
+        return f, jac, lambda c: mlp_vjp(layers, acts, slopes, c[:, None])
     # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
     (layers1, layers2), ((n1, acts1, slopes1, d1), (n2, acts2, slopes2, d2)) = nets, passes
     jac = d1 * v * n2 + n1 * n2 + n1 * v * d2
@@ -328,31 +326,24 @@ def _rhs_linearization(model, nets, v: np.ndarray):
             ]
         )
 
-    return jac, vjp
+    return n1 * v * n2, jac, vjp
 
 
 def initial_state(model: DynamicsModel, v0: float) -> float:
     """Variant-appropriate initial state for solves started from data.
 
     The Gompertz log and the UDE's v-proportional structure both make
-    v = 0 untraversable, so initial values at or below zero are floored to
-    a small positive state; the neural ODE takes v0 as given.
+    v = 0 untraversable, so each floors initial values to a small positive
+    state (`model.floor`); the neural ODE takes v0 as given.
     """
-    if isinstance(model, GompertzModel):
-        return max(v0, _STATE_FLOOR)
-    if isinstance(model, UDEModel):
-        return max(v0, _UDE_INITIAL_FLOOR)
-    return v0
+    return max(v0, model.floor)
 
 
 def solve(model: DynamicsModel, v0: float, tau_span: tuple[float, float], steps: int) -> Trajectory:
     """RK4-solve the model; Gompertz solves floor the state before the log."""
-    counter = [0] if isinstance(model, GompertzModel) else None
-    f = _make_rhs(model, clamp_counter=counter)
-    traj = solve_fixed_grid(f, initial_state(model, v0), tau_span[0], tau_span[1], steps)
-    if counter is not None and counter[0]:
-        traj = replace(traj, clamp_events=counter[0])
-    return traj
+    counter = [0]
+    traj = solve_fixed_grid(_make_rhs(model, clamp_counter=counter), initial_state(model, v0), *tau_span, steps)
+    return replace(traj, clamp_events=counter[0]) if counter[0] else traj
 
 
 # --- collocation loss --------------------------------------------------
@@ -416,11 +407,10 @@ class _CollocationLoss:
         self.grids = list(grids)
 
     def _solve(self, thetas, stages=None) -> list[list[float]]:
-        """Each member's states; thetas[b] of None means the model's own."""
+        """Each member's states at its parameters thetas[b]."""
         model, grids = self.model, self.grids
         if len(grids) == 1:
-            # the clamp counter enables the Gompertz state floor
-            f = _make_rhs(model, thetas[0], clamp_counter=[0])
+            f = _make_rhs(model, thetas[0])
             grid = grids[0]
             return [rk4_states(f, initial_state(model, grid.targets[0]), grid.times, grid.h, stages)]
         f = _make_rhs(model, np.stack(thetas))
@@ -473,56 +463,36 @@ class _Linearization:
         state_bar = np.zeros(len(grid.times))
         np.add.at(state_bar, grid.index, (1.0 - w) * g)
         np.add.at(state_bar, np.array(grid.index) + 1, w * g)
-        jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v)
+        _, jac, vjp = _rhs_linearization(_networks(self.model, theta), self.stage_v)
         return self.value, vjp(rk4_adjoint(state_bar, jac, grid.h))
 
 
 def make_loss_fn(model: DynamicsModel, data, config: TrainConfig) -> _CollocationLoss:
     """Loss as a function of the flat parameter vector, with its gradient
     available through `neuralnet.value_and_grad`."""
-    if isinstance(model, GompertzModel):
-        raise ValueError("the Gompertz variant has no trainable parameters")
-    return _CollocationLoss(model, [_collocation(data, config)])
-
-
-def loss(model: DynamicsModel, data, config: TrainConfig) -> float:
-    """Normalized MSE of the model's solved trajectory against `data`."""
-    return _CollocationLoss(model, [_collocation(data, config)])(None)
+    return _CollocationLoss(_trainable(model), [_collocation(data, config)])
 
 
 # --- parameter vector helpers ------------------------------------------
 
 
 def model_theta(model: DynamicsModel) -> np.ndarray:
-    if isinstance(model, NeuralODEModel):
-        return model.mlp.theta.copy()
-    if isinstance(model, UDEModel):
-        return np.concatenate([model.nn1.theta, model.nn2.theta])
-    raise ValueError(f"{variant_name(model)} has no trainable parameter vector")
+    return np.concatenate([net.theta for net in _trainable(model).nets])
 
 
 def model_with_theta(model: DynamicsModel, theta: np.ndarray) -> DynamicsModel:
-    if isinstance(model, NeuralODEModel):
-        return NeuralODEModel(MLPParams(model.mlp.arch, theta))
-    if isinstance(model, UDEModel):
-        n1 = model.nn1.arch.n_params
-        return UDEModel(MLPParams(model.nn1.arch, theta[:n1]), MLPParams(model.nn2.arch, theta[n1:]))
-    raise ValueError(f"{variant_name(model)} has no trainable parameter vector")
+    parts = theta.reshape(len(_trainable(model).nets), -1)
+    return type(model)(*(MLPParams(model.arch, part) for part in parts))
 
 
 def init_model(variant: str, config: TrainConfig) -> DynamicsModel:
     """Seeded Glorot initialization; UDE networks share one xoshiro stream."""
+    if variant not in _TRAINABLE:
+        raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
+    cls, n_nets, default_hidden = _TRAINABLE[variant]
+    arch = MLPArch((1, *(config.hidden if config.hidden is not None else default_hidden), 1))
     rng = Xoshiro256StarStar(config.seed)
-    if variant == "neural_ode":
-        hidden = config.hidden if config.hidden is not None else DEFAULT_NEURAL_ODE_HIDDEN
-        return NeuralODEModel(init_params_from_stream(MLPArch((1, *hidden, 1)), rng))
-    if variant == "ude":
-        hidden = config.hidden if config.hidden is not None else DEFAULT_UDE_HIDDEN
-        arch = MLPArch((1, *hidden, 1))
-        nn1 = init_params_from_stream(arch, rng)
-        nn2 = init_params_from_stream(arch, rng)
-        return UDEModel(nn1, nn2)
-    raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
+    return cls(*(init_params_from_stream(arch, rng) for _ in range(n_nets)))
 
 
 class _Member:
@@ -634,17 +604,14 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
 
 
 def save_model(model: DynamicsModel, path, seed=None) -> None:
-    """Write a bit-exact JSON checkpoint (floats stored as float.hex)."""
-    blob: dict = {"format": "tumordyn-model-v1", "variant": variant_name(model)}
-    if isinstance(model, GompertzModel):
-        blob["a"] = float(model.params.a).hex()
-        blob["K"] = float(model.params.K).hex()
-    else:
-        blob["time_input"] = False  # a format field: every model is autonomous
-        if isinstance(model, NeuralODEModel):
-            blob["networks"] = [params_to_blob(model.mlp, seed)]
-        else:
-            blob["networks"] = [params_to_blob(model.nn1, seed), params_to_blob(model.nn2, seed)]
+    """Write a bit-exact JSON checkpoint of a network model (floats stored
+    as float.hex); a Gompertz model has none and raises ValueError."""
+    blob = {
+        "format": "tumordyn-model-v1",
+        "variant": _trainable(model).variant,
+        "time_input": False,  # a format field: every model is autonomous
+        "networks": [params_to_blob(net, seed) for net in model.nets],
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=1, allow_nan=False)
 
@@ -657,19 +624,15 @@ def load_model(path) -> DynamicsModel:
     if not isinstance(blob, dict) or blob.get("format") != "tumordyn-model-v1":
         raise ValueError("not a tumordyn-model-v1 checkpoint")
     variant = blob.get("variant")
-    if variant == "gompertz":
-        a, K = floats_from_hex([blob.get("a"), blob.get("K")])
-        return GompertzModel(GompertzParams(float(a), float(K)))
-    if variant not in ("neural_ode", "ude"):
+    if not isinstance(variant, str) or variant not in _TRAINABLE:
         raise ValueError(f"unknown variant {variant!r} in checkpoint")
     if blob.get("time_input", False) is not False:
         raise ValueError(f"time_input must be false (models are autonomous), got {blob['time_input']!r}")
-    n_nets = 1 if variant == "neural_ode" else 2
+    cls, n_nets, _ = _TRAINABLE[variant]
     networks = blob.get("networks")
     if not (isinstance(networks, list) and len(networks) == n_nets):
         raise ValueError(f"a {variant} checkpoint needs {n_nets} networks")
-    nets = [params_from_blob(b) for b in networks]
-    return NeuralODEModel(nets[0]) if n_nets == 1 else UDEModel(*nets)
+    return cls(*(params_from_blob(b) for b in networks))
 
 
 def write_report_csv(report: TrainReport, path) -> None:

@@ -5,7 +5,7 @@ import pytest
 
 from tumordyn import dataio, models
 from tumordyn.cli import _train_parts
-from tumordyn.forecast import score_cells, split_cells, suite_rows
+from tumordyn.forecast import score_cells, split_cells
 
 # One subject's worth of sigmoid-shaped measurements: span 22-32 days,
 # volumes climbing from ~80 to ~1000 mm^3.
@@ -31,12 +31,12 @@ def make_collocation_data(n: int = 21):
     return data, norm_map, fit
 
 
-def forecast_cells(variant, data, fractions, config, on_cell=lambda *cell: None):
-    """One variant's forecast rows, trained and scored by the calls `run-all`
-    makes; `on_cell` is that of `suite_rows`."""
+def forecast_cells(variant, data, fractions, config):
+    """One variant's forecast cells, trained and scored by the calls `run-all`
+    makes: per fraction, its ForecastResult or the exception that failed it."""
     cells = split_cells(data, fractions)
     fits = models.train_batch(variant, _train_parts(cells), config)
-    return suite_rows(variant, fractions, score_cells(variant, data, fractions, cells, fits, config), on_cell)
+    return score_cells(variant, data, fractions, cells, fits, config)
 
 
 def central_difference_gradient(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -115,13 +115,12 @@ def test_failing_members_leave_the_batch():
 def test_suite_cells_equal_solo_forecasts(variant):
     data, _, _ = make_collocation_data(21)
     cfg = config()
-    results = {}
-    rows = forecast_cells(variant, data, [0.6, 0.75, 0.9], cfg, on_cell=lambda v, f, r: results.setdefault(f, r))
-    for row in rows:
-        alone = forecast(variant, data, SplitSpec(row.fraction), cfg)
-        assert row.error is None
-        assert bits([row.train_loss, row.test_mse]) == bits([alone.train_loss, alone.test_mse])
-        assert bits(results[row.fraction].trajectory.states) == bits(alone.trajectory.states)
+    fractions = [0.6, 0.75, 0.9]
+    for fraction, outcome in zip(fractions, forecast_cells(variant, data, fractions, cfg)):
+        alone = forecast(variant, data, SplitSpec(fraction), cfg)
+        assert not isinstance(outcome, Exception)
+        assert bits([outcome.train_loss, outcome.test_mse]) == bits([alone.train_loss, alone.test_mse])
+        assert bits(outcome.trajectory.states) == bits(alone.trajectory.states)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -136,27 +135,18 @@ def test_diverging_cell_fails_alone(variant, monkeypatch, tmp_path):
 
     monkeypatch.setattr(models, "_collocation", poisoned)
     cfg = config()
-
-    def write_to(directory):
-        directory.mkdir()
-        return lambda v, fraction, result: write_cell_csv(result, data, directory / f"{fraction}.csv")
-
-    rows = forecast_cells(variant, data, [0.7, 0.8, 0.9], cfg, on_cell=write_to(tmp_path / "suite"))
-    solo_write = write_to(tmp_path / "solo")
-    for row in rows:
+    fractions = [0.7, 0.8, 0.9]
+    for fraction, outcome in zip(fractions, forecast_cells(variant, data, fractions, cfg)):
         try:
-            alone = forecast(variant, data, SplitSpec(row.fraction), cfg)
+            alone = forecast(variant, data, SplitSpec(fraction), cfg)
         except TrainingError as exc:
-            assert row.fraction == 0.9 and "non-finite state at step 1" in str(exc)
-            assert row.error == str(exc)
-            assert math.isnan(row.train_loss) and math.isnan(row.test_mse)
+            assert fraction == 0.9 and "non-finite state at step 1" in str(exc)
+            assert_same_error(outcome, exc)
             continue
-        assert row.error is None
-        assert bits([row.train_loss, row.test_mse]) == bits([alone.train_loss, alone.test_mse])
-        solo_write(variant, row.fraction, alone)
-        name = f"{row.fraction}.csv"
-        assert (tmp_path / "suite" / name).read_bytes() == (tmp_path / "solo" / name).read_bytes()
-    assert sorted(p.name for p in (tmp_path / "suite").iterdir()) == ["0.7.csv", "0.8.csv"]
+        assert bits([outcome.train_loss, outcome.test_mse]) == bits([alone.train_loss, alone.test_mse])
+        write_cell_csv(outcome, data, tmp_path / "suite.csv")
+        write_cell_csv(alone, data, tmp_path / "solo.csv")
+        assert (tmp_path / "suite.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
 
 
 def test_initialization_is_drawn_once_per_batch(monkeypatch):

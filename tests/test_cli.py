@@ -127,6 +127,28 @@ class TestConfig:
             load_config(path)
         assert str(err.value).startswith(f"config key {key}: ")
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("node_schedule", (), "neural_ode.schedule"),
+            ("ude_schedule", ((0.0, 5),), "ude.schedule"),
+            ("solver_steps", 0, "solver_steps"),
+            ("gompertz_a", -1.0, "gompertz.a"),
+            ("n_collocation", 1, "n_collocation"),
+            ("recover_n_samples", 5, "recover.n_samples"),
+            ("sig_figs", 0, "recover.sig_figs"),
+            ("basis_K_default", 0.0, "recover.K"),
+            ("recover_lambda", -1.0, "recover.lambda"),
+            ("node_hidden", (0,), "neural_ode.hidden"),
+            ("seed", 1.7, "seed"),
+        ],
+    )
+    def test_bad_value_fails_however_built(self, field, value, key):
+        for build in (RunConfig, lambda **kwargs: load_config(None, **kwargs)):
+            with pytest.raises(ValueError) as err:
+                build(**{field: value})
+            assert str(err.value).startswith(f"config key {key}: ")
+
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("name", ["default", "cohort"])
     def test_c_and_python_yaml_loaders_agree(self, tmp_path, monkeypatch, name):

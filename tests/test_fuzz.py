@@ -18,9 +18,8 @@ import tumordyn.config
 from conftest import SAMPLE_CSV
 from tumordyn.config import load_config
 from tumordyn.dataio import SubjectNotFoundError, load_series
-from tumordyn.models import GompertzModel, TrainConfig, init_model, load_model, model_theta, save_model
+from tumordyn.models import TrainConfig, init_model, load_model, model_theta, save_model
 from tumordyn.neuralnet import params_from_blob, params_to_blob
-from tumordyn.odeint import GompertzParams
 
 TOKENS = [b"", b"0", b"-1", b"2.5", b"nan", b"inf", b"-inf", b"1e999", b"true", b"null", b"[]", b"{}",
           b",", b":", b"\n", b"#", b'"', b"0x1p+1024", b"abc", b"9" * 40, b"\xff"]
@@ -117,18 +116,13 @@ def test_load_config(tmp_path, monkeypatch, loader):
 
 
 def check_model(model) -> bool:
-    if isinstance(model, GompertzModel):
-        return all_finite(model.params.a, model.params.K)
     return bool(np.all(np.isfinite(model_theta(model))))
 
 
-@pytest.mark.parametrize("variant", ["neural_ode", "ude", "gompertz"])
+@pytest.mark.parametrize("variant", ["neural_ode", "ude"])
 def test_load_model(tmp_path, variant):
     path = tmp_path / "m.json"
-    if variant == "gompertz":
-        model = GompertzModel(GompertzParams(0.3, 1200.0))
-    else:
-        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), hidden=(2,)))
+    model = init_model(variant, TrainConfig(schedule=((0.01, 1),), hidden=(2,)))
     save_model(model, path, seed=3)
     base = path.read_bytes()
     loaded = fuzz(load_model, base, path, ValueError, check_model, 300, 3)

@@ -13,7 +13,6 @@ from tumordyn.models import (
     UDEModel,
     init_model,
     load_model,
-    loss,
     make_loss_fn,
     model_theta,
     model_with_theta,
@@ -21,7 +20,6 @@ from tumordyn.models import (
     save_model,
     solve,
     train,
-    variant_name,
 )
 from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, params_to_blob, value_and_grad
 from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs
@@ -85,6 +83,10 @@ class TestRhs:
         with pytest.raises(ValueError, match="1 -> 1"):
             UDEModel(two_in, two_in)
 
+    def test_ude_networks_must_share_one_architecture(self):
+        with pytest.raises(ValueError, match=r"^ude networks must share one architecture, got \(1, 4, 1\) and \(1, 5, 1\)$"):
+            UDEModel(init_params(MLPArch((1, 4, 1)), 3), init_params(MLPArch((1, 5, 1)), 3))
+
     def test_gompertz_batched_rejects_nonpositive(self):
         model = GompertzModel(GompertzParams(0.3, 1200.0))
         assert np.allclose(rhs(model, np.array([100.0, 600.0])), [gompertz_rhs(V, model.params) for V in (100.0, 600.0)])
@@ -106,7 +108,7 @@ class TestLoss:
     def test_exact_reproduction_gives_zero(self):
         arch = MLPArch((1, 4, 1))
         model = NeuralODEModel(MLPParams(arch, np.zeros(arch.n_params)))
-        assert loss(model, flat_data(0.5), TINY) == 0.0
+        assert make_loss_fn(model, flat_data(0.5), TINY)(model_theta(model)) == 0.0
 
     def test_single_point_perturbation(self):
         arch = MLPArch((1, 4, 1))
@@ -114,14 +116,15 @@ class TestLoss:
         delta = 0.013
         data = flat_data(0.5)
         data[7] = (data[7][0], 0.5 + delta)
-        assert loss(model, data, TINY) == pytest.approx(delta**2 / len(data), rel=1e-12)
+        assert make_loss_fn(model, data, TINY)(model_theta(model)) == pytest.approx(delta**2 / len(data), rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
     def test_loss_fn_and_gradient_value_equal_loss_bitwise(self, variant):
         data, _, _ = make_collocation_data(11)
         template = init_model(variant, TINY)
         theta = model_theta(template) + 0.01 * np.cos(np.arange(model_theta(template).size))
-        expected = loss(model_with_theta(template, theta), data, TINY)
+        model = model_with_theta(template, theta)
+        expected = make_loss_fn(model, data, TINY)(model_theta(model))
         loss_fn = make_loss_fn(template, data, TINY)
         assert loss_fn(theta) == expected
         assert value_and_grad(loss_fn, theta)[0] == expected
@@ -129,7 +132,7 @@ class TestLoss:
     def test_requires_sorted_data(self):
         model = init_model("neural_ode", TINY)
         with pytest.raises(ValueError):
-            loss(model, [(0.5, 0.1), (0.2, 0.3)], TINY)
+            make_loss_fn(model, [(0.5, 0.1), (0.2, 0.3)], TINY)
 
 
 class TestSolve:
@@ -212,7 +215,7 @@ class TestTrain:
     def test_returned_model_achieves_best_loss(self):
         data, _, _ = make_collocation_data(11)
         model, report = train("neural_ode", data, TINY)
-        assert loss(model, data, TINY) == pytest.approx(report.best_loss, rel=1e-12)
+        assert make_loss_fn(model, data, TINY)(model_theta(model)) == pytest.approx(report.best_loss, rel=1e-12)
 
     def test_divergence_becomes_training_error(self):
         data, _, _ = make_collocation_data(11)
@@ -285,7 +288,7 @@ class TestCheckpoints:
         path = tmp_path / "model.json"
         save_model(model, path, seed=7)
         loaded = load_model(path)
-        assert variant_name(loaded) == variant
+        assert loaded.variant == variant
         assert np.array_equal(model_theta(loaded), model_theta(model))
         assert json.loads(path.read_text())["time_input"] is False
 
@@ -302,9 +305,14 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="time_input"):
             load_model(path)
 
-    def test_gompertz_round_trip(self, tmp_path):
-        model = GompertzModel(GompertzParams(0.3, 1200.0))
+    def test_gompertz_has_no_checkpoint(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_model(GompertzModel(GompertzParams(0.3, 1200.0)), tmp_path / "model.json")
+
+    def test_gompertz_checkpoint_is_an_unknown_variant(self, tmp_path):
+        # Gompertz parameters in float.hex, as a network checkpoint stores its floats
+        blob = {"format": "tumordyn-model-v1", "variant": "gompertz", "a": "0x1.3333333333333p-2", "K": "0x1.2cp+10"}
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.params == model.params
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="unknown variant 'gompertz'"):
+            load_model(path)
