@@ -48,6 +48,7 @@ from .models import (
     DEFAULT_UDE_SCHEDULE,
     TrainConfig,
 )
+from .neuralnet import as_int
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -107,12 +108,11 @@ def _text(value) -> str:
 
 
 def _int(value, low=None) -> int:
-    """An integral number (2 or 2.0, not 2.5, "2" or true), at least `low`."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    if low is not None and value < low:
+    """An integral number (2, 2.0 or a numpy integer; not 2.5, "2" or true), at least `low`."""
+    n = as_int(value, "the value")
+    if low is not None and n < low:
         raise ValueError(f"must be >= {low}, got {value!r}")
-    return int(value)
+    return n
 
 
 def _float(value) -> float:

@@ -9,16 +9,19 @@ Three autonomous right-hand sides f(v) over the normalized state v(tau):
 
 Each class states its variant's facts once: its name (`variant`), the
 floor of a starting state (`floor`) and, for the two network variants that
-train and have checkpoints, their networks (`nets`) and shared `arch`.
+train and have checkpoints, their networks (`nets`), shared `arch`, and
+f, df/dv and output cotangents in terms of the networks' outputs. The
+networks of a model always run as one stack, in one `mlp_batch` pass.
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
 target volumes. Gradients are exact for the discrete solve: the float RK4
 pass that computes the loss records the state entering every stage; one
-batched network pass over those states gives each stage's df/dv, a reverse
-sweep through the RK4 stages (`odeint.rk4_adjoint`) gives each stage's
-cotangent, and one batched vector-Jacobian product through the networks
-turns those into d loss / d theta. Losses are reported on the normalized scale.
+pass of the stacked networks over those states gives each stage's df/dv, a
+reverse sweep through the RK4 stages (`odeint.rk4_adjoint`) gives each
+stage's cotangent, and one batched vector-Jacobian product through the
+stack turns those into d loss / d theta. Losses are reported on the
+normalized scale.
 
 Fits of one variant and config on several datasets train as one batch
 (`train_batch`): every evaluation solves all members' losses in one member
@@ -45,14 +48,13 @@ from .neuralnet import (
     MLPParams,
     Xoshiro256StarStar,
     adam_update,
+    as_int,
     init_params_from_stream,
-    mlp_apply,
     mlp_batch,
     mlp_input_derivative,
     mlp_vjp,
     params_from_blob,
     params_to_blob,
-    stack_layers,
     unpack_layers,
     value_and_grad,
 )
@@ -107,7 +109,10 @@ class GompertzModel:
 
 class _NetworkModel:
     """A variant built from tanh networks: `nets`, its MLPParams in order,
-    each mapping 1 -> 1, all of one architecture `arch`."""
+    each mapping 1 -> 1, all of one architecture `arch`. With y (...,
+    n_nets) its networks' outputs at states v and dy their derivatives,
+    it gives f (`f_from_outputs`), df/dv (`df_dv`), and the cotangents on
+    the outputs from a cotangent c on f (`cotangents`)."""
 
     def __post_init__(self):
         for net in self.nets:
@@ -132,6 +137,15 @@ class NeuralODEModel(_NetworkModel):
     def nets(self) -> tuple[MLPParams, ...]:
         return (self.mlp,)
 
+    def f_from_outputs(self, y, v):
+        return y[..., 0]
+
+    def df_dv(self, y, dy, v):
+        return dy[..., 0]
+
+    def cotangents(self, y, v, c):
+        return (c,)
+
 
 @dataclass(frozen=True)
 class UDEModel(_NetworkModel):
@@ -146,6 +160,16 @@ class UDEModel(_NetworkModel):
     @property
     def nets(self) -> tuple[MLPParams, ...]:
         return (self.nn1, self.nn2)
+
+    def f_from_outputs(self, y, v):
+        return y[..., 0] * v * y[..., 1]
+
+    def df_dv(self, y, dy, v):
+        # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
+        return dy[..., 0] * v * y[..., 1] + y[..., 0] * y[..., 1] + y[..., 0] * v * dy[..., 1]
+
+    def cotangents(self, y, v, c):
+        return (c * v * y[..., 1], c * y[..., 0] * v)
 
 
 DynamicsModel = GompertzModel | NeuralODEModel | UDEModel
@@ -176,10 +200,12 @@ class TrainConfig:
     hidden: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        schedule = tuple((float(lr), int(ep)) for lr, ep in self.schedule)
+        schedule = tuple((float(lr), as_int(ep, "an epoch count")) for lr, ep in self.schedule)
         object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "solver_steps", as_int(self.solver_steps, "solver_steps"))
         if self.hidden is not None:
-            object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+            object.__setattr__(self, "hidden", tuple(as_int(w, "a hidden width") for w in self.hidden))
         if not schedule:
             raise ValueError("schedule must have at least one (learning_rate, epochs) stage")
         for lr, ep in schedule:
@@ -241,8 +267,8 @@ class TrainingError(RuntimeError):
 
 
 def _networks(model, theta):
-    """Layer lists of the model's networks from the flat vector `theta`."""
-    return [unpack_layers(model.arch, part) for part in theta.reshape(len(model.nets), -1)]
+    """The model's networks as one stack of layers, from `theta` (..., n_nets * n_params)."""
+    return unpack_layers(model.arch, theta.reshape(*theta.shape[:-1], len(model.nets), -1))
 
 
 def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
@@ -269,19 +295,14 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
 
     thetas = model_theta(model) if theta is None else theta
     lead = thetas.shape[:-1]
-    # the networks of a model share one architecture, so they run as one stack
-    n_nets, arch = len(model.nets), model.arch
-    layers = stack_layers(arch, thetas.reshape(*lead, n_nets, arch.n_params))
-    x = np.zeros((*lead, 1, 1, 1))
+    layers, f_from_outputs = _networks(model, thetas), model.f_from_outputs
+    x = np.zeros((*lead, 1, 1, 1))  # one row per member, broadcast over its networks
 
     def f(v):
         x[..., 0, 0, 0] = v
-        y = mlp_apply(layers, x)[..., 0, 0]
-        return y[..., 0] if n_nets == 1 else y[..., 0] * v * y[..., 1]
+        return f_from_outputs(mlp_batch(layers, x)[0][..., 0, 0], v)
 
-    if lead:
-        return f
-    return lambda v: float(f(v))
+    return f if lead else lambda v: float(f(v))
 
 
 def rhs(model: DynamicsModel, v):
@@ -298,35 +319,24 @@ def rhs(model: DynamicsModel, v):
             raise ValueError(f"Gompertz rhs requires V > 0, got min V={v.min()}")
         return model.params.a * v * np.log(model.params.K / v)
     v_arr = np.asarray(v, dtype=float)
-    dv = _rhs_linearization(_networks(model, model_theta(model)), v_arr.ravel())[0]
+    flat = v_arr.ravel()
+    y, _ = mlp_batch(_networks(model, model_theta(model)), flat[:, None])
+    dv = model.f_from_outputs(y[..., 0].T, flat)
     return float(dv[0]) if v_arr.ndim == 0 else dv.reshape(v_arr.shape)
 
 
-def _rhs_linearization(nets, v: np.ndarray):
-    """f and df/dv at each state v[i] of a model with networks `nets`, and
-    the map from cotangents on the f values there to the flat gradient with
-    respect to theta."""
-    passes = []
-    for layers in nets:
-        y, acts = mlp_batch(layers, v[:, None])
-        d, slopes = mlp_input_derivative(layers, acts)
-        passes.append((y[:, 0], acts, slopes, d[:, 0]))
-    if len(nets) == 1:
-        (layers,), ((f, acts, slopes, jac),) = nets, passes
-        return f, jac, lambda c: mlp_vjp(layers, acts, slopes, c[:, None])
-    # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
-    (layers1, layers2), ((n1, acts1, slopes1, d1), (n2, acts2, slopes2, d2)) = nets, passes
-    jac = d1 * v * n2 + n1 * n2 + n1 * v * d2
+def _rhs_linearization(model, layers, v: np.ndarray):
+    """f and df/dv at each state v[i] of a model with stacked networks `layers`,
+    and the map from cotangents on those f values to d/d theta."""
+    y, acts = mlp_batch(layers, v[:, None])
+    dy, slopes = mlp_input_derivative(layers, acts)
+    y, dy = y[..., 0].T, dy[..., 0].T  # (N, n_nets)
 
     def vjp(c):
-        return np.concatenate(
-            [
-                mlp_vjp(layers1, acts1, slopes1, (c * v * n2)[:, None]),
-                mlp_vjp(layers2, acts2, slopes2, (c * n1 * v)[:, None]),
-            ]
-        )
+        G = np.stack(model.cotangents(y, v, c))[..., None]
+        return mlp_vjp(layers, acts, slopes, G).ravel()
 
-    return n1 * v * n2, jac, vjp
+    return model.f_from_outputs(y, v), model.df_dv(y, dy, v), vjp
 
 
 def initial_state(model: DynamicsModel, v0: float) -> float:
@@ -463,7 +473,7 @@ class _Linearization:
         state_bar = np.zeros(len(grid.times))
         np.add.at(state_bar, grid.index, (1.0 - w) * g)
         np.add.at(state_bar, np.array(grid.index) + 1, w * g)
-        _, jac, vjp = _rhs_linearization(_networks(self.model, theta), self.stage_v)
+        _, jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v)
         return self.value, vjp(rk4_adjoint(state_bar, jac, grid.h))
 
 

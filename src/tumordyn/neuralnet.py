@@ -3,14 +3,14 @@
 Parameters live in one flat vector per network (weights then bias for each
 consecutive layer pair, in order), initialization is Glorot-uniform drawn
 from a seeded xoshiro256** stream so runs are bit-reproducible, and updates
-use a plain full-batch Adam. Inside the ODE solver a network is evaluated
-on one input vector; `stack_layers` lets `mlp_apply` evaluate several
-networks of one architecture at once, each on its own input, with the
-same bits as one at a time. A network can also be run on a whole batch of
-inputs at once (`mlp_batch`); its derivative with respect to the first
+use a plain full-batch Adam. One forward pass, `mlp_batch`, evaluates a
+network on every row of an input batch. Its layers come from
+`unpack_layers`, which also takes parameter vectors stacked on leading
+axes: networks of one architecture then run as one stack, each with the
+bits of its own pass. The derivative of a pass with respect to the first
 input (`mlp_input_derivative`) and the vector-Jacobian product with
-respect to its parameters (`mlp_vjp`) then reuse that pass's activations,
-and the VJP reuses the tanh slopes the derivative computed.
+respect to the parameters (`mlp_vjp`) reuse that pass's activations, and
+the VJP reuses the tanh slopes the derivative computed.
 Losses built on these supply their own exact gradient to `value_and_grad`.
 """
 
@@ -26,11 +26,10 @@ __all__ = [
     "MLPParams",
     "AdamState",
     "GradientError",
+    "as_int",
     "init_params",
     "init_params_from_stream",
     "unpack_layers",
-    "stack_layers",
-    "mlp_apply",
     "mlp_batch",
     "mlp_input_derivative",
     "mlp_vjp",
@@ -86,6 +85,15 @@ class Xoshiro256StarStar:
         return (x >> np.uint64(11)) * 2.0**-53
 
 
+def as_int(value, name: str) -> int:
+    """`value`, a Python or numpy integer or an integral float, as an int;
+    ValueError naming `name` for anything else, a boolean included."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if isinstance(value, (bool, np.bool_)) or not (integral or isinstance(value, (int, np.integer))):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MLPArch:
     """Layer widths, input first and output last; tanh on hidden layers."""
@@ -93,7 +101,7 @@ class MLPArch:
     layer_widths: tuple[int, ...]
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(as_int(w, "a layer width") for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
             raise ValueError("architecture needs at least input and output widths")
@@ -184,92 +192,73 @@ def init_params(arch: MLPArch, seed: int) -> MLPParams:
     return init_params_from_stream(arch, Xoshiro256StarStar(seed))
 
 
-def unpack_layers(arch: MLPArch, theta: np.ndarray):
-    """Split a flat parameter vector into (W, b) views per layer."""
-    return [
-        (theta[w_start:w_stop].reshape(shape), theta[w_stop:b_stop])
-        for w_start, w_stop, b_stop, shape in arch.layout()
-    ]
+def unpack_layers(arch: MLPArch, thetas: np.ndarray):
+    """(W^T, b) views per layer of parameter vectors on leading axes.
 
-
-def stack_layers(arch: MLPArch, thetas: np.ndarray):
-    """(W, b) views per layer of parameter vectors stacked on leading axes.
-
-    For thetas of shape (*lead, n_params), W has shape (*lead, fo, fi) and
-    b (*lead, fo, 1), so `mlp_apply` runs every network at once on column
-    inputs (*lead, fi, 1). Each network's slice goes through the same
-    matrix-vector product as `unpack_layers` on its own vector, so the
-    outputs are bitwise equal.
+    For thetas (*lead, n_params), W^T is (*lead, fi, fo), the transposed
+    (fo, fi) weight block of each network, and b is (*lead, 1, fo). A
+    stack runs in one `mlp_batch` pass, each network bitwise as alone.
     """
     lead = thetas.shape[:-1]
     return [
-        (thetas[..., w_start:w_stop].reshape(*lead, *shape), thetas[..., w_stop:b_stop, None])
+        (np.swapaxes(thetas[..., w_start:w_stop].reshape(*lead, *shape), -1, -2), thetas[..., None, w_stop:b_stop])
         for w_start, w_stop, b_stop, shape in arch.layout()
     ]
 
 
-def mlp_apply(layers, x: np.ndarray) -> np.ndarray:
-    """Affine + tanh per hidden layer, affine only on the output layer.
-
-    Takes the layers of `unpack_layers` with an input vector, or those of
-    `stack_layers` with column inputs.
-    """
-    h = x
-    for W, b in layers[:-1]:
-        h = np.tanh(W @ h + b)
-    W, b = layers[-1]
-    return W @ h + b
-
-
 def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Evaluate the network on every row of X (N, in_width) in one pass.
+    """Evaluate the networks on every row of X (..., N, in_width) in one pass.
 
-    Returns the outputs (N, out_width) and the input of every layer (X,
-    then each hidden activation), which `mlp_input_derivative` and
-    `mlp_vjp` take back. Here and in those two, arithmetic on (N, width)
-    arrays is done in place, so a pass holds few such temporaries at once.
+    Affine + tanh per hidden layer, affine only on the output layer; the
+    leading axes of X and of the layers broadcast. Returns the outputs
+    (..., N, out_width) and the input of every layer (X, then each hidden
+    activation), which `mlp_input_derivative` and `mlp_vjp` take back.
+    Here and in those two, arithmetic on (..., N, width) arrays is done in
+    place, so a pass holds few such temporaries at once.
     """
     acts = [X]
-    for W, b in layers[:-1]:
-        z = np.matmul(acts[-1], W.T)
+    for WT, b in layers[:-1]:
+        z = np.matmul(acts[-1], WT)
         z += b
         acts.append(np.tanh(z, out=z))
-    W, b = layers[-1]
-    return np.matmul(acts[-1], W.T) + b, acts
+    WT, b = layers[-1]
+    return np.matmul(acts[-1], WT) + b, acts
 
 
 def mlp_input_derivative(layers, acts) -> tuple[np.ndarray, list[np.ndarray]]:
-    """d output / d X[:, 0] for every row of a `mlp_batch` pass, (N,
-    out_width), and the tanh slope 1 - h * h at every hidden activation h,
-    which `mlp_vjp` takes so that each slope is computed once."""
-    W0 = layers[0][0]
-    d = np.broadcast_to(W0[:, 0], (acts[0].shape[0], W0.shape[0]))
+    """d output / d X[..., 0] for every row of a `mlp_batch` pass, shaped
+    like its outputs, and the tanh slope 1 - h * h at every hidden
+    activation h, which `mlp_vjp` takes so that each slope is computed once."""
+    WT0 = layers[0][0]
+    lead = np.broadcast_shapes(acts[0].shape[:-2], WT0.shape[:-2])
+    d = np.broadcast_to(WT0[..., :1, :], (*lead, acts[0].shape[-2], WT0.shape[-1]))
     slopes = []
-    for (W, _), h in zip(layers[1:], acts[1:]):
+    for (WT, _), h in zip(layers[1:], acts[1:]):
         s = np.multiply(h, h)
         slopes.append(np.subtract(1.0, s, out=s))
         d = s * d
-        d = np.matmul(d, W.T)
+        d = np.matmul(d, WT)
     return d, slopes
 
 
 def mlp_vjp(layers, acts, slopes, G: np.ndarray) -> np.ndarray:
     """Flat gradient of sum(G * outputs) for a `mlp_batch` pass.
 
-    G (N, out_width) is the cotangent on the outputs; the result is laid
-    out like the parameter vector and sums the contributions of all rows.
+    G (..., N, out_width) is the cotangent on the outputs; the result
+    (..., n_params) is laid out like the parameters and sums over rows.
     `slopes` are those of `mlp_input_derivative`. The sweep empties `acts`
-    and `slopes` as it passes each layer, so every (N, width) array is
-    freed as soon as it is used: a pass is swept once.
+    and `slopes` as it passes each layer, so every (..., N, width) array
+    is freed as soon as it is used: a pass is swept once.
     """
     pieces = []
     for i in range(len(layers) - 1, -1, -1):
-        pieces.append(G.sum(axis=0))
-        pieces.append(np.matmul(G.T, acts.pop()).ravel())
+        pieces.append(G.sum(axis=-2))
+        dW = np.matmul(np.swapaxes(G, -1, -2), acts.pop())
+        pieces.append(dW.reshape(*dW.shape[:-2], -1))
         if i:
-            G = np.matmul(G, layers[i][0])
+            G = np.matmul(G, np.swapaxes(layers[i][0], -1, -2))
             G *= slopes.pop()
-    return np.concatenate(pieces[::-1])
+    return np.concatenate(pieces[::-1], axis=-1)
 
 
 def value_and_grad(loss_fn, theta: np.ndarray) -> tuple[float, np.ndarray]:

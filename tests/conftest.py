@@ -39,6 +39,18 @@ def forecast_cells(variant, data, fractions, config):
     return score_cells(variant, data, fractions, cells, fits, config)
 
 
+def reference_forward(layers, x: np.ndarray) -> np.ndarray:
+    """One network, given by the layers `unpack_layers` makes of its flat
+    vector, on one input vector x: a matrix-vector product per layer, tanh
+    on the hidden layers. The oracle for `mlp_batch`, written apart from it."""
+    h = np.asarray(x, dtype=float)
+    for i, (WT, b) in enumerate(layers):
+        h = WT.T @ h + b[0]
+        if i < len(layers) - 1:
+            h = np.tanh(h)
+    return h
+
+
 def central_difference_gradient(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Finite-difference oracle; loss_fn must accept a plain ndarray."""
     g = np.empty_like(theta)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tumordyn.models as models
-from conftest import forecast_cells, make_collocation_data
+from conftest import forecast_cells, make_collocation_data, reference_forward
 from tumordyn.forecast import SplitSpec, forecast, write_cell_csv
 from tumordyn.models import (
     TrainConfig,
@@ -18,7 +18,7 @@ from tumordyn.models import (
     train,
     train_batch,
 )
-from tumordyn.neuralnet import mlp_apply, unpack_layers
+from tumordyn.neuralnet import unpack_layers
 from tumordyn.odeint import rk4_states
 
 VARIANTS = ["neural_ode", "ude"]
@@ -56,10 +56,10 @@ def test_member_solve_equals_reference_per_point_solves(variant):
     h = np.array([(b - a) / n for a, b in spans])
     batched = np.array(rk4_states(models._make_rhs(model, np.stack(thetas)), np.array(v0), times, h))
     for b, theta in enumerate(thetas):
-        nets = models._networks(model, theta)
+        nets = [unpack_layers(model.arch, part) for part in theta.reshape(len(model.nets), -1)]
 
         def f(v):
-            y = [float(mlp_apply(layers, np.array([v]))[0]) for layers in nets]
+            y = [float(reference_forward(layers, np.array([v]))[0]) for layers in nets]
             return y[0] if variant == "neural_ode" else y[0] * v * y[1]
 
         assert bits(batched[:, b]) == bits(rk4_states(f, v0[b], times[:, b], float(h[b])))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, make_collocation_data, max_relative_error
+from conftest import central_difference_gradient, make_collocation_data, max_relative_error, reference_forward
+from tumordyn.config import RunConfig
 from tumordyn.models import (
     GompertzModel,
     NeuralODEModel,
@@ -93,14 +94,25 @@ class TestRhs:
         with pytest.raises(ValueError):
             rhs(model, np.array([100.0, 0.0]))
 
+    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
+    def test_rhs_equals_linearization_f_bitwise(self, variant):
+        # recovery samples `rhs`; its bits are those of the linearization's f
+        from tumordyn.models import _networks, _rhs_linearization
+
+        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), seed=3))
+        v = np.linspace(-0.05, 1.05, 101)
+        f, _, _ = _rhs_linearization(model, _networks(model, model_theta(model)), v)
+        assert rhs(model, v).tobytes() == f.tobytes()
+
     def test_ude_factorization(self):
-        from tumordyn.neuralnet import mlp_apply, unpack_layers
+        from tumordyn.neuralnet import unpack_layers
 
         model = init_model("ude", TINY)
         nn1 = unpack_layers(model.nn1.arch, model.nn1.theta)
         nn2 = unpack_layers(model.nn2.arch, model.nn2.theta)
         for v in [0.1, 0.4, 0.8]:
-            expected = float(mlp_apply(nn1, np.array([v]))[0]) * v * float(mlp_apply(nn2, np.array([v]))[0])
+            n1, n2 = (float(reference_forward(layers, np.array([v]))[0]) for layers in (nn1, nn2))
+            expected = n1 * v * n2
             assert rhs(model, v) == pytest.approx(expected, rel=1e-14)
 
 
@@ -185,6 +197,32 @@ class TestTrainConfig:
     def test_empty_schedule(self):
         with pytest.raises(ValueError):
             TrainConfig(schedule=())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TrainConfig(schedule=((0.01, 2.5),)),
+            lambda: TrainConfig(schedule=((0.01, True),)),
+            lambda: TrainConfig(schedule=((0.01, 2),), hidden=(3.7,)),
+            lambda: TrainConfig(schedule=((0.01, 2),), solver_steps=10.5),
+            lambda: TrainConfig(schedule=((0.01, 2),), seed=1.5),
+            lambda: MLPArch((1, 3.7, 1)),
+            lambda: MLPArch((1, np.True_, 1)),
+            lambda: RunConfig(seed=np.float64(2.5)),
+        ],
+        ids=["epochs", "bool-epochs", "hidden", "solver_steps", "seed", "arch", "numpy-bool-arch", "run-config"],
+    )
+    def test_non_integral_count_is_rejected(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_integral_numbers_of_every_kind_are_accepted(self):
+        counts = dict(seed=7.0, solver_steps=np.int32(10), hidden=(3.0, np.uint8(4)))
+        cfg = TrainConfig(schedule=((0.01, np.int64(2)),), **counts)
+        assert (cfg.schedule, cfg.seed, cfg.solver_steps, cfg.hidden) == (((0.01, 2),), 7, 10, (3, 4))
+        assert all(type(n) is int for n in (cfg.schedule[0][1], cfg.seed, cfg.solver_steps, *cfg.hidden))
+        assert MLPArch((1, np.int64(3), 2.0, 1)).layer_widths == (1, 3, 2, 1)
+        assert RunConfig(seed=np.int64(5), ude_hidden=(np.int16(6),)).seed == 5
 
     def test_defaults_mirror_configuration(self):
         node = TrainConfig.neural_ode_defaults()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, max_relative_error
+from conftest import central_difference_gradient, max_relative_error, reference_forward
 from tumordyn.models import NeuralODEModel, TrainConfig, make_loss_fn
 from tumordyn.neuralnet import (
     ADAM_BETA1,
@@ -17,7 +17,6 @@ from tumordyn.neuralnet import (
     adam_update,
     floats_from_hex,
     init_params,
-    mlp_apply,
     mlp_batch,
     mlp_input_derivative,
     mlp_vjp,
@@ -103,10 +102,10 @@ class TestInit:
 
     def test_glorot_variance(self):
         params = init_params(MLPArch((128, 128, 64)), 5)
-        for W, _ in unpack_layers(params.arch, params.theta):
-            fan_out, fan_in = W.shape
+        for WT, _ in unpack_layers(params.arch, params.theta):
+            fan_in, fan_out = WT.shape
             target = 2.0 / (fan_in + fan_out)
-            assert np.var(W) == pytest.approx(target, rel=0.20)
+            assert np.var(WT) == pytest.approx(target, rel=0.20)
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):
@@ -121,20 +120,20 @@ class TestForward:
     def test_zero_params_zero_output(self):
         params = MLPParams(MLPArch((2, 5, 3)), np.zeros(MLPArch((2, 5, 3)).n_params))
         layers = unpack_layers(params.arch, params.theta)
-        assert np.array_equal(mlp_apply(layers, np.array([1.3, -2.0])), np.zeros(3))
+        assert np.array_equal(reference_forward(layers, np.array([1.3, -2.0])), np.zeros(3))
 
     def test_single_layer_is_affine(self):
         params = MLPParams(MLPArch((1, 1)), np.array([2.0, 3.0]))  # weight 2, bias 3
-        assert mlp_apply(unpack_layers(params.arch, params.theta), np.array([4.0])) == pytest.approx([11.0])
+        assert reference_forward(unpack_layers(params.arch, params.theta), np.array([4.0])) == pytest.approx([11.0])
 
     def test_hidden_activations_bound_output(self):
         # with tanh hiddens in (-1, 1), |output| < sum|W_last| + |b_last|
         params = init_params(MLPArch((1, 50, 1)), 9)
         layers = unpack_layers(params.arch, params.theta)
         W_last, b_last = layers[-1]
-        bound = np.sum(np.abs(W_last)) + np.abs(b_last[0])
+        bound = np.sum(np.abs(W_last)) + np.abs(b_last[0, 0])
         for x in (-1e6, -3.0, 0.0, 3.0, 1e6):
-            assert abs(mlp_apply(layers, np.array([x]))[0]) < bound
+            assert abs(reference_forward(layers, np.array([x]))[0]) < bound
 
 
 class TestBatch:
@@ -145,7 +144,7 @@ class TestBatch:
         Y, acts = mlp_batch(layers, X)
         assert Y.shape == (6, 3) and len(acts) == 3
         for x, y in zip(X, Y):
-            assert np.allclose(y, mlp_apply(layers, x), rtol=1e-14, atol=1e-15)
+            assert np.allclose(y, reference_forward(layers, x), rtol=1e-14, atol=1e-15)
 
     def test_input_derivative_matches_finite_differences(self):
         params = init_params(MLPArch((2, 6, 6, 2)), 8)
@@ -155,6 +154,27 @@ class TestBatch:
         step = np.array([1e-6, 0.0])
         fd = (mlp_batch(layers, X + step)[0] - mlp_batch(layers, X - step)[0]) / 2e-6
         assert max_relative_error(d, fd) < 1e-6
+
+    @pytest.mark.parametrize("widths", [(1, 128, 128, 64, 64, 1), (1, 10, 10, 1), (1, 1)])
+    def test_stacked_pass_equals_each_network_bitwise(self, widths):
+        # the shapes a model's linearization uses: one input column shared
+        # by the stack, one output cotangent column per network
+        arch = MLPArch(widths)
+        thetas = np.stack([init_params(arch, seed).theta for seed in (1, 2)])
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-0.2, 1.3, 400)[:, None]
+        G = rng.standard_normal((2, 400))[..., None]
+        stacked = unpack_layers(arch, thetas)
+        Y, acts = mlp_batch(stacked, X)
+        D, slopes = mlp_input_derivative(stacked, acts)
+        g = mlp_vjp(stacked, acts, slopes, G)
+        assert Y.shape == D.shape == (2, 400, 1) and g.shape == thetas.shape
+        for k, theta in enumerate(thetas):
+            layers = unpack_layers(arch, theta)
+            y, acts_k = mlp_batch(layers, X)
+            d, slopes_k = mlp_input_derivative(layers, acts_k)
+            assert Y[k].tobytes() == y.tobytes() and D[k].tobytes() == d.tobytes()
+            assert g[k].tobytes() == mlp_vjp(layers, acts_k, slopes_k, G[k]).tobytes()
 
     def test_single_layer_input_derivative_is_the_weight_column(self):
         params = MLPParams(MLPArch((2, 1)), np.array([2.0, -3.0, 0.5]))
