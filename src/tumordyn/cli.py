@@ -17,9 +17,10 @@ Common flags, before or after the command: --config <yaml>, --subject <id>,
 <out>/forecast_summary.csv. Every SVG plot has a CSV twin carrying the same
 numbers. Exit code is 0 only if every stage succeeded.
 
-Every fit and forecast cell trains through `models.train_batch`, and every
-cell is split and scored by `forecast.split_cells` and `score_cells`; the
-commands differ only in which fits share a batch.
+Every fit and forecast cell trains through `models.train_batch`. A cell's
+training part comes from `_cell_parts`, and `stage_forecast` scores each
+trained cell with `forecast.score`, the one place a cell's failure becomes
+its error row; the commands differ only in which fits share a batch.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, symrec
-from .forecast import score_cells, split_cells, write_cell_csv, write_suite_csv
+from .forecast import SplitSpec, score, split, write_cell_csv, write_suite_csv
 from .config import RunConfig, load_config
 from .odeint import GompertzParams, Trajectory, write_trajectory_csv
 from .svgplot import PlotStyle, emit_plot
@@ -69,6 +70,25 @@ def _physical_targets(ctx: _SubjectContext):
     taus = np.array([t for t, _ in ctx.data])
     volumes = ctx.norm_map.denormalize_v(np.array([v for _, v in ctx.data]))
     return taus, volumes
+
+
+def _plot_against_target(
+    ctx: _SubjectContext, name: str, label: str, predicted, title: str, split_x=None
+) -> None:
+    """Plot `predicted`, a volume per collocation point, against the
+    interpolated target as <name>.svg."""
+    taus, target_volumes = _physical_targets(ctx)
+    emit_plot(
+        ctx.out_dir / f"{name}.svg",
+        list(ctx.norm_map.denormalize_t(taus)),
+        [(label, list(predicted)), ("interpolated target", list(target_volumes))],
+        PlotStyle(title, "time [days]", "volume [mm^3]", split_x=split_x),
+    )
+
+
+def _cell_parts(config: RunConfig, data) -> list:
+    """The training part of each forecast cell, in sorted-fraction order."""
+    return [split(data, SplitSpec(fraction))[0] for fraction in sorted(config.fractions)]
 
 
 def _train_config(config: RunConfig, variant: str):
@@ -127,16 +147,7 @@ def stage_gompertz(config: RunConfig, ctx: _SubjectContext) -> dict:
     predicted = np.interp(ctx.norm_map.denormalize_t(taus), traj.times, traj.states)
     mse_physical = float(np.mean((predicted - target_volumes) ** 2))
     mse_normalized = mse_physical / ctx.norm_map.v_scale**2
-
-    emit_plot(
-        ctx.out_dir / "gompertz.svg",
-        list(ctx.norm_map.denormalize_t(taus)),
-        [
-            ("Gompertz model", list(predicted)),
-            ("interpolated target", list(target_volumes)),
-        ],
-        PlotStyle("Gompertz baseline", "time [days]", "volume [mm^3]"),
-    )
+    _plot_against_target(ctx, "gompertz", "Gompertz model", predicted, "Gompertz baseline")
     return {
         "a": params.a,
         "K": params.K,
@@ -161,15 +172,10 @@ def _write_fit(config: RunConfig, ctx: _SubjectContext, variant: str, fit):
     )
     write_trajectory_csv(physical, ctx.out_dir / f"{variant}_traj.csv")
 
-    taus, target_volumes = _physical_targets(ctx)
-    predicted = np.interp(taus, traj.times, ctx.norm_map.denormalize_v(traj.states))
+    taus, _ = _physical_targets(ctx)
+    predicted = np.interp(taus, traj.times, physical.states)
     label = "Neural ODE" if variant == "neural_ode" else "UDE"
-    emit_plot(
-        ctx.out_dir / f"{variant}.svg",
-        list(ctx.norm_map.denormalize_t(taus)),
-        [(label, list(predicted)), ("interpolated target", list(target_volumes))],
-        PlotStyle(f"{label} fit", "time [days]", "volume [mm^3]"),
-    )
+    _plot_against_target(ctx, variant, label, predicted, f"{label} fit")
     physical_scale = ctx.norm_map.v_scale**2
     chunk = {
         "initial_loss": report.initial_loss,
@@ -184,44 +190,35 @@ def _write_fit(config: RunConfig, ctx: _SubjectContext, variant: str, fit):
     return model, chunk
 
 
-def stage_forecast(config: RunConfig, ctx: _SubjectContext, cells, fits: dict) -> list[dict]:
+def stage_forecast(config: RunConfig, ctx: _SubjectContext, fits: dict) -> list[dict]:
     """Score and write both variants' forecast cells; returns their rows.
 
-    `cells` is `split_cells` of the sorted fractions, and fits[variant]
-    holds the training outcome of each cell that split.
+    fits[variant] holds the training outcome of each cell `_cell_parts`
+    lists, in its order: a (model, report) pair, or the exception training
+    gave, which fails the cell as a scoring error does.
     """
-
-    def write_cell_artifacts(variant, fraction, result):
-        pct = int(round(fraction * 100))
-        write_cell_csv(result, ctx.data, ctx.out_dir / f"forecast_{variant}_{pct}.csv")
-        taus, target_volumes = _physical_targets(ctx)
-        predicted = ctx.norm_map.denormalize_v(
-            np.interp(taus, result.trajectory.times, result.trajectory.states)
-        )
-        emit_plot(
-            ctx.out_dir / f"forecast_{variant}_{pct}.svg",
-            list(ctx.norm_map.denormalize_t(taus)),
-            [("forecast", list(predicted)), ("interpolated target", list(target_volumes))],
-            PlotStyle(
-                f"{variant} forecast, {pct}% training window",
-                "time [days]",
-                "volume [mm^3]",
-                split_x=float(ctx.norm_map.denormalize_t(fraction)),
-            ),
-        )
-
-    fractions = sorted(config.fractions)
+    taus, _ = _physical_targets(ctx)
     rows = []
     for variant in ("neural_ode", "ude"):
-        outcomes = score_cells(variant, ctx.data, fractions, cells, fits[variant], _train_config(config, variant))
-        for fraction, outcome in zip(fractions, outcomes):
+        for fraction, fit in zip(sorted(config.fractions), fits[variant]):
             # a failed cell's losses are null in summary.json and nan in forecast.csv
             row = {"variant": variant, "fraction": fraction, "train_loss": None, "test_mse": None, "error": None}
             try:
-                if isinstance(outcome, Exception):
-                    raise outcome
-                write_cell_artifacts(variant, fraction, outcome)
-                row.update(train_loss=outcome.train_loss, test_mse=outcome.test_mse)
+                if isinstance(fit, Exception):
+                    raise fit
+                result = score(ctx.data, fraction, fit, config.solver_steps)
+                pct = int(round(fraction * 100))
+                write_cell_csv(result, ctx.data, ctx.out_dir / f"forecast_{variant}_{pct}.csv")
+                states = np.interp(taus, result.trajectory.times, result.trajectory.states)
+                _plot_against_target(
+                    ctx,
+                    f"forecast_{variant}_{pct}",
+                    "forecast",
+                    ctx.norm_map.denormalize_v(states),
+                    f"{variant} forecast, {pct}% training window",
+                    split_x=float(ctx.norm_map.denormalize_t(fraction)),
+                )
+                row.update(train_loss=result.train_loss, test_mse=result.test_mse)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 row["error"] = str(exc)
             rows.append(row)
@@ -291,27 +288,20 @@ def _run_pipeline(config: RunConfig, contexts) -> list[dict]:
     for run in runs:
         run.summary["sigmoid"] = run.stage("interpolate", lambda: stage_interpolate(config, run.ctx))
         run.summary["gompertz"] = run.stage("gompertz", lambda: stage_gompertz(config, run.ctx))
-    fractions = sorted(config.fractions)
-    cells = [split_cells(run.ctx.data, fractions) for run in runs]
-    jobs = [[run.ctx.data] + _train_parts(subject_cells) for run, subject_cells in zip(runs, cells)]
+    jobs = [[run.ctx.data] + _cell_parts(config, run.ctx.data) for run in runs]
     ude_fits = _train_members(config, "ude", jobs)
-    for run, subject_cells, job, ude_fit in zip(runs, cells, jobs, ude_fits):
+    for run, job, ude_fit in zip(runs, jobs, ude_fits):
         node_fit = _train_members(config, "neural_ode", [job])[0]
-        _finish_subject(config, run, subject_cells, {"neural_ode": node_fit, "ude": ude_fit})
+        _finish_subject(config, run, {"neural_ode": node_fit, "ude": ude_fit})
         del node_fit  # so the next subject's batch trains without these networks alive
     return [run.summary for run in runs]
 
 
-def _train_parts(cells) -> list:
-    """The training partition of each `split_cells` cell that split."""
-    return [cell[0] for cell in cells if not isinstance(cell, Exception)]
-
-
-def _finish_subject(config: RunConfig, run: _SubjectRun, cells, trained: dict) -> None:
+def _finish_subject(config: RunConfig, run: _SubjectRun, trained: dict) -> None:
     """Write a subject's fits, forecast cells, recoveries and reports.
 
     trained[variant] is the subject's job outcome from `_train_members`:
-    the full fit's outcome, then each split cell's, and the job's share of
+    the full fit's outcome, then each forecast cell's, and the job's share of
     the batch time, which counts toward the variant's training stage.
     """
     ctx, summary = run.ctx, run.summary
@@ -323,7 +313,7 @@ def _finish_subject(config: RunConfig, run: _SubjectRun, cells, trained: dict) -
             fitted[variant], result = result
         summary[variant] = result
     cell_fits = {variant: outcomes[1:] for variant, (outcomes, _) in trained.items()}
-    summary["forecast"] = run.stage("forecast", lambda: stage_forecast(config, ctx, cells, cell_fits))
+    summary["forecast"] = run.stage("forecast", lambda: stage_forecast(config, ctx, cell_fits))
 
     summary["recovered"] = {}
     for variant in ("neural_ode", "ude"):
@@ -469,10 +459,9 @@ def main(argv=None) -> int:
             outcomes, _ = _train_members(config, variant, [[ctx.data]])[0]
             _write_fit(config, ctx, variant, outcomes[0])
         elif command == "forecast":
-            cells = split_cells(ctx.data, sorted(config.fractions))
-            job = _train_parts(cells)
+            job = _cell_parts(config, ctx.data)
             fits = {v: _train_members(config, v, [job])[0][0] for v in ("neural_ode", "ude")}
-            rows = stage_forecast(config, ctx, cells, fits)
+            rows = stage_forecast(config, ctx, fits)
             errs = [r for r in rows if r["error"] is not None]
             for r in errs:
                 print(f"[{command} / {r['variant']}@{r['fraction']}] {r['error']}", file=sys.stderr)

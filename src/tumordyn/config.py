@@ -11,10 +11,12 @@ the loader does not know, at the top level or inside a section, is an
 error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
 never falls back to a default unnoticed. So is a value of the wrong kind
 or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast fraction
-outside (0, 1), two fractions with the same percent label, an empty
-schedule, a learning rate, Gompertz parameter or basis K that is not
-positive, a negative lambda): it fails where the RunConfig is built, from
-a file or in Python, naming its YAML key, not in a stage.
+whose percent label, which names its cell's files, is not in 1..99, two
+fractions with the same label, an empty schedule, a learning rate,
+Gompertz parameter or basis K that is not a finite positive number, a
+negative lambda): it fails where the RunConfig is built, from a file or in
+Python, naming its YAML key, not in a stage. With a label in 1..99, every
+forecast cell of a pipeline series (tau from 0 to 1) splits.
 
 The file is parsed by libyaml's C parser (`yaml.CSafeLoader`: the safe
 constructor and resolver of `yaml.SafeLoader`) where PyYAML was built
@@ -48,7 +50,7 @@ from .models import (
     DEFAULT_UDE_SCHEDULE,
     TrainConfig,
 )
-from .neuralnet import as_int
+from .neuralnet import as_int, as_positive
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -123,10 +125,7 @@ def _float(value) -> float:
 
 
 def _positive(value) -> float:
-    value = _float(value)
-    if value <= 0:
-        raise ValueError(f"must be > 0, got {value!r}")
-    return value
+    return as_positive(value, "the value")
 
 
 def _at_least(low):
@@ -150,8 +149,12 @@ def _fractions(values):
         raise ValueError("at least one forecast fraction is required")
     if not all(0.0 < f < 1.0 for f in fractions):
         raise ValueError(f"fractions must lie in (0, 1), got {list(values)}")
-    # each cell's artifacts are named by its percent label
-    if len({int(round(100 * f)) for f in fractions}) != len(fractions):
+    # each cell's artifacts are named by its percent label; with a label in
+    # 1..99, tau = 0 is always a training point and tau = 1 a test point
+    labels = [round(100 * f) for f in fractions]
+    if not all(1 <= label <= 99 for label in labels):
+        raise ValueError(f"fractions must round to a percent in 1..99, got {list(values)}")
+    if len(set(labels)) != len(labels):
         raise ValueError(f"two fractions round to the same percent, got {list(values)}")
     return fractions
 

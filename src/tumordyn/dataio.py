@@ -8,7 +8,8 @@ Input CSV schema (UTF-8, `#` starts a comment line):
     ...
 
 One row per caliper measurement. Times are days, volumes mm^3. Subjects are
-identified by the integer `id` column.
+identified by the integer `id` column. Numbers are written in ASCII without
+`_` separators, which Python's int() and float() would also read.
 
 The sigmoid interpolant is a four-parameter logistic fitted over normalized
 time, V(tau) = A + B / (1 + exp(-k (tau - tau0))), which serves as the
@@ -214,6 +215,9 @@ def _read_rows(path) -> dict[int, list]:
                 continue
             if len(parts) != 3:
                 raise CsvFormatError(line_no, f"expected 3 fields, got {len(parts)}")
+            # int() and float() also read "1_000" and non-ASCII digits
+            if not line.isascii() or "_" in line:
+                raise CsvFormatError(line_no, f"'_' or a non-ASCII character in {line!r}")
             try:
                 sid = int(parts[0])
             except ValueError:

@@ -4,9 +4,10 @@ The split happens in normalized time on the collocation grid. A forecast is
 one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
-Cells take one path: `split_cells`, then `models.train_batch` on their
-training parts, then `score_cells`, whose outcomes `cli.stage_forecast`
-turns into rows (a failed cell is an error row) for `write_suite_csv`.
+Cells take one path: `cli._cell_parts` splits the series at each fraction,
+`models.train_batch` trains the training parts, and `score` solves and
+scores each fitted cell, raising its failure; `cli.stage_forecast` turns
+each cell into a row (a failed cell is an error row) for `write_suite_csv`.
 `run-all` batches cells across subjects; `forecast` is one cell.
 """
 
@@ -18,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DynamicsModel, TrainConfig, TrainReport, solve, train_batch
+from .models import DynamicsModel, TrainConfig, TrainReport, solve, train
 from .odeint import Trajectory
 
 __all__ = [
     "SplitSpec",
     "ForecastResult",
     "split",
-    "split_cells",
-    "score_cells",
+    "score",
     "forecast",
     "write_suite_csv",
     "write_cell_csv",
@@ -46,13 +46,15 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ForecastResult:
-    variant: str
     model: DynamicsModel
-    train_loss: float
     test_mse: float
     trajectory: Trajectory
     split_tau: float
     report: TrainReport
+
+    @property
+    def train_loss(self) -> float:
+        return self.report.best_loss
 
 
 def split(data, spec: SplitSpec):
@@ -67,49 +69,20 @@ def split(data, spec: SplitSpec):
     return train_part, test_part
 
 
-def split_cells(data, fractions) -> list:
-    """`split` at each fraction: its (train, test) partition, or the
-    ValueError that split raises."""
-    cells: list = []
-    for fraction in fractions:
-        try:
-            cells.append(split(data, SplitSpec(train_fraction=fraction)))
-        except ValueError as exc:
-            cells.append(exc)
-    return cells
+def score(data, fraction: float, fit, solver_steps: int) -> ForecastResult:
+    """Solve a fitted cell across the full span and score its test points.
 
-
-def score_cells(variant: str, data, fractions, cells, fits, config: TrainConfig) -> list:
-    """Each cell's ForecastResult, or the exception that failed it.
-
-    `cells` comes from `split_cells`. `fits` holds, in order, one training
-    outcome per cell that split: a (model, report) pair from
-    `models.train_batch`, or the exception its training gave.
+    `fit` is the (model, report) pair trained on the cell's training part;
+    the solve starts from that part's first point.
     """
-    fits = iter(fits)
-    outcomes: list = []
-    for fraction, cell in zip(fractions, cells):
-        outcome = cell if isinstance(cell, Exception) else next(fits)
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = _result(variant, data, cell, outcome, fraction, config)
-            except (ArithmeticError, ValueError) as exc:
-                outcome = exc
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _result(variant, data, cell, fit, fraction, config) -> ForecastResult:
-    """Solve a fitted cell across the full span and score the test points."""
-    (train_part, test_part), (model, report) = cell, fit
-    trajectory = solve(model, train_part[0][1], (data[0][0], data[-1][0]), config.solver_steps)
+    train_part, test_part = split(data, SplitSpec(train_fraction=fraction))
+    model, report = fit
+    trajectory = solve(model, train_part[0][1], (data[0][0], data[-1][0]), solver_steps)
     test_taus = np.array([t for t, _ in test_part])
     test_values = np.array([v for _, v in test_part])
     predicted = np.interp(test_taus, trajectory.times, trajectory.states)
     return ForecastResult(
-        variant=variant,
         model=model,
-        train_loss=report.best_loss,
         test_mse=float(np.mean((predicted - test_values) ** 2)),
         trajectory=trajectory,
         split_tau=fraction,
@@ -123,12 +96,8 @@ def forecast(variant: str, data, spec: SplitSpec, config: TrainConfig) -> Foreca
     This is one cell of the path `run-all` takes; the cell's failure is
     raised.
     """
-    cell = split(data, spec)
-    fits = train_batch(variant, [cell[0]], config)
-    (outcome,) = score_cells(variant, data, [spec.train_fraction], [cell], fits, config)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    fit = train(variant, split(data, spec)[0], config)
+    return score(data, spec.train_fraction, fit, config.solver_steps)
 
 
 def write_suite_csv(rows, subject_id: int, path) -> None:

@@ -49,6 +49,7 @@ from .neuralnet import (
     Xoshiro256StarStar,
     adam_update,
     as_int,
+    as_positive,
     init_params_from_stream,
     mlp_batch,
     mlp_input_derivative,
@@ -200,7 +201,9 @@ class TrainConfig:
     hidden: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        schedule = tuple((float(lr), as_int(ep, "an epoch count")) for lr, ep in self.schedule)
+        schedule = tuple(
+            (as_positive(lr, "a learning rate"), as_int(ep, "an epoch count")) for lr, ep in self.schedule
+        )
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         object.__setattr__(self, "solver_steps", as_int(self.solver_steps, "solver_steps"))
@@ -208,9 +211,7 @@ class TrainConfig:
             object.__setattr__(self, "hidden", tuple(as_int(w, "a hidden width") for w in self.hidden))
         if not schedule:
             raise ValueError("schedule must have at least one (learning_rate, epochs) stage")
-        for lr, ep in schedule:
-            if lr <= 0:
-                raise ValueError(f"learning rates must be positive, got {lr}")
+        for _, ep in schedule:
             if ep < 1:
                 raise ValueError(f"every stage needs at least 1 epoch, got {ep}")
         if self.solver_steps < 1:
@@ -243,15 +244,16 @@ class TrainReport:
     """
 
     initial_loss: float
-    final_loss: float
     best_loss: float
     best_epoch: int
     loss_history: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "loss_history", tuple(self.loss_history))
-        if self.loss_history and self.final_loss != self.loss_history[-1]:
-            raise ValueError("final_loss must equal the last history entry")
+
+    @property
+    def final_loss(self) -> float:
+        return self.loss_history[-1]
 
 
 class TrainingError(RuntimeError):
@@ -601,7 +603,6 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
         member.record(final, eval_index)
         report = TrainReport(
             initial_loss=member.initial_loss,
-            final_loss=member.history[-1],
             best_loss=member.best_loss,
             best_epoch=member.best_epoch,
             loss_history=tuple(member.history),

@@ -16,6 +16,7 @@ Losses built on these supply their own exact gradient to `value_and_grad`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "AdamState",
     "GradientError",
     "as_int",
+    "as_positive",
     "init_params",
     "init_params_from_stream",
     "unpack_layers",
@@ -92,6 +94,15 @@ def as_int(value, name: str) -> int:
     if isinstance(value, (bool, np.bool_)) or not (integral or isinstance(value, (int, np.integer))):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_positive(value, name: str) -> float:
+    """`value`, a finite positive Python or numpy real number, as a float;
+    ValueError naming `name` for anything else, a boolean or a string included."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataio import NormalizationMap
 from .models import DynamicsModel, rhs, solve
+from .neuralnet import as_positive
 
 __all__ = [
     "BasisSet",
@@ -44,8 +45,7 @@ class BasisSet:
     K: float
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError(f"carrying capacity must be positive, got {self.K}")
+        object.__setattr__(self, "K", as_positive(self.K, "carrying capacity K"))
 
     def evaluate(self, V: np.ndarray) -> np.ndarray:
         """Rows of the design matrix; requires V > 0 for the log term."""

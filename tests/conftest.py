@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tumordyn import dataio, models
-from tumordyn.cli import _train_parts
-from tumordyn.forecast import score_cells, split_cells
+from tumordyn.forecast import SplitSpec, score, split
 
 # One subject's worth of sigmoid-shaped measurements: span 22-32 days,
 # volumes climbing from ~80 to ~1000 mm^3.
@@ -34,9 +33,16 @@ def make_collocation_data(n: int = 21):
 def forecast_cells(variant, data, fractions, config):
     """One variant's forecast cells, trained and scored by the calls `run-all`
     makes: per fraction, its ForecastResult or the exception that failed it."""
-    cells = split_cells(data, fractions)
-    fits = models.train_batch(variant, _train_parts(cells), config)
-    return score_cells(variant, data, fractions, cells, fits, config)
+    parts = [split(data, SplitSpec(fraction))[0] for fraction in fractions]
+    outcomes = []
+    for fraction, fit in zip(fractions, models.train_batch(variant, parts, config)):
+        try:
+            if isinstance(fit, Exception):
+                raise fit
+            outcomes.append(score(data, fraction, fit, config.solver_steps))
+        except Exception as exc:  # noqa: BLE001 - a cell fails alone, as in `cli.stage_forecast`
+            outcomes.append(exc)
+    return outcomes
 
 
 def reference_forward(layers, x: np.ndarray) -> np.ndarray:

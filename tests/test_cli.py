@@ -118,6 +118,11 @@ class TestConfig:
             ("forecast: {fractions: [0.7, 0.704]}\n", "forecast.fractions"),
             ("forecast: {fractions: [0.5, 0.9, 0.5]}\n", "forecast.fractions"),
             ("forecast: {fractions: []}\n", "forecast.fractions"),
+            # a cell is named by its percent label, which must lie in 1..99
+            ("forecast: {fractions: [0.8, 0.004]}\n", "forecast.fractions"),
+            ("forecast: {fractions: [0.996]}\n", "forecast.fractions"),
+            ("forecast: {fractions: [0.9999999999]}\n", "forecast.fractions"),
+            ("ude: {schedule: [[.nan, 5]]}\n", "ude.schedule"),
         ],
     )
     def test_bad_value_fails_at_load_naming_its_key(self, tmp_path, text, key):

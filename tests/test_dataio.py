@@ -92,11 +92,16 @@ class TestLoadSeries:
             ("1,22,80\n1,27,400\n1,2,inf\n1,32,1000\n", 4),
             ("1,22,80\n1,nan,400\n1,30,800\n1,32,1000\n", 3),
             ("1,22,80\n1,27,400\n1,30,-inf\n1,32,1000\n", 4),
+            # numbers Python's int() and float() read but the CSV format has not
+            ("1,2_2,80\n1,27,400\n1,30,800\n1,32,1000\n", 2),
+            ("1,22,80\n1,24,1_50\n1,30,800\n1,32,1000\n", 3),
+            ("1,22,80\n1,27,400\n\uff11,30,800\n1,32,1000\n", 4),
+            ("1,22,80\n1,27,400\n1,30,800\n1,\u0663\u0662,1000\n", 5),
         ],
     )
     def test_non_finite_field_names_line(self, tmp_path, rows, bad_line):
         path = tmp_path / "d.csv"
-        path.write_text("id,time_days,volume_mm3\n" + rows)
+        path.write_text("id,time_days,volume_mm3\n" + rows, encoding="utf-8")
         with pytest.raises(CsvFormatError) as err:
             load_series(path, 1)
         assert err.value.line_no == bad_line

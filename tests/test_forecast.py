@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import forecast_cells, make_collocation_data
-from tumordyn.forecast import SplitSpec, forecast, score_cells, split, split_cells, write_cell_csv, write_suite_csv
+from tumordyn.forecast import SplitSpec, forecast, score, split, write_cell_csv, write_suite_csv
 from tumordyn.models import TrainConfig, TrainReport, solve, GompertzModel
 from tumordyn.odeint import GompertzParams, gompertz_exact
 
@@ -43,12 +43,10 @@ class TestSplit:
 
 class TestForecast:
     def test_gompertz_truth_in_model_class(self):
-        # scoring alone: the true law, handed to score_cells as a fitted cell
+        # scoring alone: the true law, handed to score as a fitted cell
         data = gompertz_data()
-        config = TrainConfig(schedule=((0.01, 1),), seed=7, solver_steps=200)
-        report = TrainReport(initial_loss=0.0, final_loss=0.0, best_loss=0.0, best_epoch=0, loss_history=(0.0,))
-        cells = split_cells(data, [0.9])
-        (result,) = score_cells("gompertz", data, [0.9], cells, [(GompertzModel(NORM_GOMPERTZ), report)], config)
+        report = TrainReport(initial_loss=0.0, best_loss=0.0, best_epoch=0, loss_history=(0.0,))
+        result = score(data, 0.9, (GompertzModel(NORM_GOMPERTZ), report), 200)
         assert result.test_mse < 1e-8
 
     def test_trajectory_is_one_continuous_solve(self):

@@ -24,6 +24,7 @@ from tumordyn.models import (
 )
 from tumordyn.neuralnet import GradientError, MLPArch, MLPParams, init_params, params_to_blob, value_and_grad
 from tumordyn.odeint import GompertzParams, gompertz_exact, gompertz_rhs
+from tumordyn.symrec import BasisSet
 
 TINY = TrainConfig(schedule=((0.01, 3),), seed=7, solver_steps=20, hidden=(4,))
 
@@ -199,21 +200,31 @@ class TestTrainConfig:
             TrainConfig(schedule=())
 
     @pytest.mark.parametrize(
-        "build",
+        "build, message",
         [
-            lambda: TrainConfig(schedule=((0.01, 2.5),)),
-            lambda: TrainConfig(schedule=((0.01, True),)),
-            lambda: TrainConfig(schedule=((0.01, 2),), hidden=(3.7,)),
-            lambda: TrainConfig(schedule=((0.01, 2),), solver_steps=10.5),
-            lambda: TrainConfig(schedule=((0.01, 2),), seed=1.5),
-            lambda: MLPArch((1, 3.7, 1)),
-            lambda: MLPArch((1, np.True_, 1)),
-            lambda: RunConfig(seed=np.float64(2.5)),
+            (lambda: TrainConfig(schedule=((0.01, 2.5),)), "must be an integer"),
+            (lambda: TrainConfig(schedule=((0.01, True),)), "must be an integer"),
+            (lambda: TrainConfig(schedule=((0.01, 2),), hidden=(3.7,)), "must be an integer"),
+            (lambda: TrainConfig(schedule=((0.01, 2),), solver_steps=10.5), "must be an integer"),
+            (lambda: TrainConfig(schedule=((0.01, 2),), seed=1.5), "must be an integer"),
+            (lambda: MLPArch((1, 3.7, 1)), "must be an integer"),
+            (lambda: MLPArch((1, np.True_, 1)), "must be an integer"),
+            (lambda: RunConfig(seed=np.float64(2.5)), "must be an integer"),
+            # learning rates and the basis K are finite positive numbers
+            (lambda: TrainConfig(schedule=((math.nan, 2),)), "must be a finite positive number"),
+            (lambda: TrainConfig(schedule=((0.01, 2), (math.inf, 2))), "must be a finite positive number"),
+            (lambda: TrainConfig(schedule=((True, 2),)), "must be a finite positive number"),
+            (lambda: TrainConfig(schedule=(("0.01", 2),)), "must be a finite positive number"),
+            (lambda: BasisSet(math.nan), "must be a finite positive number"),
+            (lambda: BasisSet(True), "must be a finite positive number"),
         ],
-        ids=["epochs", "bool-epochs", "hidden", "solver_steps", "seed", "arch", "numpy-bool-arch", "run-config"],
+        ids=[
+            "epochs", "bool-epochs", "hidden", "solver_steps", "seed", "arch", "numpy-bool-arch", "run-config",
+            "nan-rate", "inf-rate", "bool-rate", "string-rate", "nan-basis-K", "bool-basis-K",
+        ],
     )
-    def test_non_integral_count_is_rejected(self, build):
-        with pytest.raises(ValueError, match="must be an integer"):
+    def test_non_integral_count_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
             build()
 
     def test_integral_numbers_of_every_kind_are_accepted(self):
