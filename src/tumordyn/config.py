@@ -37,7 +37,7 @@ Example:
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -118,8 +118,8 @@ def _int(value, low=None) -> int:
 
 
 def _float(value) -> float:
-    """A finite number (not a string or a boolean)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A finite number (not a string, a boolean or an integer beyond the float range)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
 

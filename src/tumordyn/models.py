@@ -11,7 +11,10 @@ Each class states its variant's facts once: its name (`variant`), the
 floor of a starting state (`floor`) and, for the two network variants that
 train and have checkpoints, their networks (`nets`), shared `arch`, and
 f, df/dv and output cotangents in terms of the networks' outputs. The
-networks of a model always run as one stack, in one `mlp_batch` pass.
+networks of a model always run as one stack, in one `mlp_batch` pass, and
+their outputs are indexed on the leading axis, so one formula serves a
+list of floats and an (n_nets, ...) array: each stage of a float solve is
+one pass on the bare state and plain Python arithmetic on its outputs.
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
@@ -110,10 +113,12 @@ class GompertzModel:
 
 class _NetworkModel:
     """A variant built from tanh networks: `nets`, its MLPParams in order,
-    each mapping 1 -> 1, all of one architecture `arch`. With y (...,
-    n_nets) its networks' outputs at states v and dy their derivatives,
-    it gives f (`f_from_outputs`), df/dv (`df_dv`), and the cotangents on
-    the outputs from a cotangent c on f (`cotangents`)."""
+    each mapping 1 -> 1, all of one architecture `arch`. With y its
+    networks' outputs at states v and dy their derivatives, indexed on the
+    leading axis (y[k] is network k's output: a float in a float solve,
+    an array over states or members otherwise), it gives f
+    (`f_from_outputs`), df/dv (`df_dv`), and the cotangents on the outputs
+    from a cotangent c on f (`cotangents`)."""
 
     def __post_init__(self):
         for net in self.nets:
@@ -139,10 +144,10 @@ class NeuralODEModel(_NetworkModel):
         return (self.mlp,)
 
     def f_from_outputs(self, y, v):
-        return y[..., 0]
+        return y[0]
 
     def df_dv(self, y, dy, v):
-        return dy[..., 0]
+        return dy[0]
 
     def cotangents(self, y, v, c):
         return (c,)
@@ -163,14 +168,14 @@ class UDEModel(_NetworkModel):
         return (self.nn1, self.nn2)
 
     def f_from_outputs(self, y, v):
-        return y[..., 0] * v * y[..., 1]
+        return y[0] * v * y[1]
 
     def df_dv(self, y, dy, v):
         # f = n1 * v * n2, so df/dv = n1' v n2 + n1 n2 + n1 v n2'
-        return dy[..., 0] * v * y[..., 1] + y[..., 0] * y[..., 1] + y[..., 0] * v * dy[..., 1]
+        return dy[0] * v * y[1] + y[0] * y[1] + y[0] * v * dy[1]
 
     def cotangents(self, y, v, c):
-        return (c * v * y[..., 1], c * y[..., 0] * v)
+        return (c * v * y[1], c * y[0] * v)
 
 
 DynamicsModel = GompertzModel | NeuralODEModel | UDEModel
@@ -278,7 +283,8 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
 
     When `theta` is given it overrides the stored network parameters, which
     is how the training loss rebuilds the networks from the optimizer's
-    iterates. A flat vector gives a float f(v). A stack of B vectors
+    iterates. A flat vector gives a float f(v): one network pass on the
+    bare state and Python-float arithmetic on its outputs. A stack of B vectors
     (B, n_params) gives the right-hand sides of B members at once, mapping
     (B,) states to (B,) values, each bitwise what the member's own float f
     gives. `clamp_counter`, a one-element list, enables the state floor for
@@ -298,13 +304,14 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     thetas = model_theta(model) if theta is None else theta
     lead = thetas.shape[:-1]
     layers, f_from_outputs = _networks(model, thetas), model.f_from_outputs
-    x = np.zeros((*lead, 1, 1, 1))  # one row per member, broadcast over its networks
+    if not lead:
+        return lambda v: f_from_outputs(mlp_batch(layers, v)[0].ravel().tolist(), v)
 
     def f(v):
-        x[..., 0, 0, 0] = v
-        return f_from_outputs(mlp_batch(layers, x)[0][..., 0, 0], v)
+        # one row per member, broadcast over its networks
+        return f_from_outputs(mlp_batch(layers, v.reshape(*lead, 1, 1, 1))[0][..., 0, 0].T, v)
 
-    return f if lead else lambda v: float(f(v))
+    return f
 
 
 def rhs(model: DynamicsModel, v):
@@ -323,7 +330,7 @@ def rhs(model: DynamicsModel, v):
     v_arr = np.asarray(v, dtype=float)
     flat = v_arr.ravel()
     y, _ = mlp_batch(_networks(model, model_theta(model)), flat[:, None])
-    dv = model.f_from_outputs(y[..., 0].T, flat)
+    dv = model.f_from_outputs(y[..., 0], flat)
     return float(dv[0]) if v_arr.ndim == 0 else dv.reshape(v_arr.shape)
 
 
@@ -332,7 +339,7 @@ def _rhs_linearization(model, layers, v: np.ndarray):
     and the map from cotangents on those f values to d/d theta."""
     y, acts = mlp_batch(layers, v[:, None])
     dy, slopes = mlp_input_derivative(layers, acts)
-    y, dy = y[..., 0].T, dy[..., 0].T  # (N, n_nets)
+    y, dy = y[..., 0], dy[..., 0]  # (n_nets, N)
 
     def vjp(c):
         G = np.stack(model.cotangents(y, v, c))[..., None]
@@ -623,8 +630,10 @@ def save_model(model: DynamicsModel, path, seed=None) -> None:
         "time_input": False,  # a format field: every model is autonomous
         "networks": [params_to_blob(net, seed) for net in model.nets],
     }
+    # json.dumps without an indent runs the C encoder; json.dump never does
+    text = json.dumps(blob, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=1, allow_nan=False)
+        fh.write(text)
 
 
 def load_model(path) -> DynamicsModel:

@@ -4,7 +4,9 @@ Parameters live in one flat vector per network (weights then bias for each
 consecutive layer pair, in order), initialization is Glorot-uniform drawn
 from a seeded xoshiro256** stream so runs are bit-reproducible, and updates
 use a plain full-batch Adam. One forward pass, `mlp_batch`, evaluates a
-network on every row of an input batch. Its layers come from
+network on every row of an input batch; a layer of input width 1 is an
+outer product, a broadcast multiply with the bits of the one-term matmul,
+so one input state may be a Python float. Its layers come from
 `unpack_layers`, which also takes parameter vectors stacked on leading
 axes: networks of one architecture then run as one stack, each with the
 bits of its own pass. The derivative of a pass with respect to the first
@@ -204,20 +206,26 @@ def init_params(arch: MLPArch, seed: int) -> MLPParams:
 
 
 def unpack_layers(arch: MLPArch, thetas: np.ndarray):
-    """(W^T, b) views per layer of parameter vectors on leading axes.
+    """(W^T, b) per layer of parameter vectors on leading axes.
 
     For thetas (*lead, n_params), W^T is (*lead, fi, fo), the transposed
     (fo, fi) weight block of each network, and b is (*lead, 1, fo). A
     stack runs in one `mlp_batch` pass, each network bitwise as alone.
+    Every W^T that enters a matmul is a view of thetas: its memory layout
+    decides the bits of the product. The biases and a width-1 input layer's
+    W^T enter only elementwise arithmetic, which has the same bits in any
+    layout, so they are contiguous copies, on which that arithmetic is cheaper.
     """
     lead = thetas.shape[:-1]
-    return [
-        (np.swapaxes(thetas[..., w_start:w_stop].reshape(*lead, *shape), -1, -2), thetas[..., None, w_stop:b_stop])
-        for w_start, w_stop, b_stop, shape in arch.layout()
-    ]
+    layers = []
+    for i, (w_start, w_stop, b_stop, (fo, fi)) in enumerate(arch.layout()):
+        WT = np.swapaxes(thetas[..., w_start:w_stop].reshape(*lead, fo, fi), -1, -2)
+        b = np.ascontiguousarray(thetas[..., None, w_stop:b_stop])
+        layers.append((np.ascontiguousarray(WT) if i == 0 and fi == 1 else WT, b))
+    return layers
 
 
-def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def mlp_batch(layers, X: np.ndarray | float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the networks on every row of X (..., N, in_width) in one pass.
 
     Affine + tanh per hidden layer, affine only on the output layer; the
@@ -225,15 +233,18 @@ def mlp_batch(layers, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     (..., N, out_width) and the input of every layer (X, then each hidden
     activation), which `mlp_input_derivative` and `mlp_vjp` take back.
     Here and in those two, arithmetic on (..., N, width) arrays is done in
-    place, so a pass holds few such temporaries at once.
+    place, so a pass holds few such temporaries at once. A first layer of
+    input width 1 is the outer product X * W^T, which has the bits of the
+    one-term matmul, so X may be one state as a Python float; the outputs
+    are then (..., 1, out_width).
     """
     acts = [X]
-    for WT, b in layers[:-1]:
-        z = np.matmul(acts[-1], WT)
+    for i, (WT, b) in enumerate(layers):
+        z = X * WT if i == 0 and WT.shape[-2] == 1 else np.matmul(acts[-1], WT)
         z += b
-        acts.append(np.tanh(z, out=z))
-    WT, b = layers[-1]
-    return np.matmul(acts[-1], WT) + b, acts
+        if i < len(layers) - 1:
+            acts.append(np.tanh(z, out=z))
+    return z, acts
 
 
 def mlp_input_derivative(layers, acts) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -317,7 +328,7 @@ def params_to_blob(params: MLPParams, seed=None) -> dict:
         "format": "tumordyn-mlp-v1",
         "layer_widths": list(params.arch.layer_widths),
         "seed": seed,
-        "theta_hex": [float(x).hex() for x in params.theta],
+        "theta_hex": list(map(float.hex, params.theta.tolist())),
     }
 
 

@@ -57,6 +57,11 @@ def reference_forward(layers, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def bits(x) -> bytes:
+    """The float64 bytes of a number or an array, for bitwise comparisons."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def central_difference_gradient(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Finite-difference oracle; loss_fn must accept a plain ndarray."""
     g = np.empty_like(theta)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tumordyn.models as models
-from conftest import forecast_cells, make_collocation_data, reference_forward
+from conftest import bits, forecast_cells, make_collocation_data, reference_forward
 from tumordyn.forecast import SplitSpec, forecast, write_cell_csv
 from tumordyn.models import (
     TrainConfig,
@@ -26,10 +26,6 @@ VARIANTS = ["neural_ode", "ude"]
 
 def config():
     return TrainConfig(schedule=((0.02, 3), (0.01, 2)), seed=5, solver_steps=17, hidden=(5, 4))
-
-
-def bits(x) -> bytes:
-    return np.asarray(x, dtype=float).tobytes()
 
 
 def assert_same_fit(got, want):
@@ -70,8 +66,12 @@ def test_member_solve_equals_reference_per_point_solves(variant):
     "cfg",
     # the narrow config gives bitwise different weight gradients when a
     # member's stage states are a strided view and a solo fit's are not
-    [config(), TrainConfig(schedule=((0.05, 3),), seed=7, solver_steps=12, hidden=(3,))],
-    ids=["wide", "narrow"],
+    [
+        config(),
+        TrainConfig(schedule=((0.05, 3),), seed=7, solver_steps=12, hidden=(3,)),
+        TrainConfig(schedule=((0.05, 3),), seed=7, solver_steps=12, hidden=()),
+    ],
+    ids=["wide", "narrow", "no-hidden"],
 )
 def test_batch_member_equals_solo_fit(variant, cfg):
     data, _, _ = make_collocation_data(21)

@@ -123,6 +123,9 @@ class TestConfig:
             ("forecast: {fractions: [0.996]}\n", "forecast.fractions"),
             ("forecast: {fractions: [0.9999999999]}\n", "forecast.fractions"),
             ("ude: {schedule: [[.nan, 5]]}\n", "ude.schedule"),
+            # an integer beyond the float range is no finite number either
+            pytest.param("recover: {lambda: 1%s}\n" % ("0" * 400), "recover.lambda", id="lambda-1e400"),
+            pytest.param("forecast: {fractions: [0.5, 1%s]}\n" % ("0" * 400), "forecast.fractions", id="fraction-1e400"),
         ],
     )
     def test_bad_value_fails_at_load_naming_its_key(self, tmp_path, text, key):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_difference_gradient, make_collocation_data, max_relative_error, reference_forward
+from conftest import bits, central_difference_gradient, make_collocation_data, max_relative_error, reference_forward
 from tumordyn.config import RunConfig
 from tumordyn.models import (
     GompertzModel,
@@ -39,6 +39,15 @@ def constant_network(value: float, hidden=(4,)) -> MLPParams:
 
 def flat_data(v: float, n: int = 11):
     return [(t, v) for t in np.linspace(0.0, 1.0, n)]
+
+
+# each network variant at its default widths and with no hidden layer
+WIDTHS = [
+    pytest.param("neural_ode", None, id="neural_ode"),
+    pytest.param("ude", None, id="ude"),
+    pytest.param("neural_ode", (), id="neural_ode-no-hidden"),
+    pytest.param("ude", (), id="ude-no-hidden"),
+]
 
 
 class TestRhs:
@@ -95,15 +104,33 @@ class TestRhs:
         with pytest.raises(ValueError):
             rhs(model, np.array([100.0, 0.0]))
 
-    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
-    def test_rhs_equals_linearization_f_bitwise(self, variant):
+    @pytest.mark.parametrize("variant, hidden", WIDTHS)
+    def test_rhs_equals_linearization_f_bitwise(self, variant, hidden):
         # recovery samples `rhs`; its bits are those of the linearization's f
         from tumordyn.models import _networks, _rhs_linearization
 
-        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), seed=3))
+        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), seed=3, hidden=hidden))
         v = np.linspace(-0.05, 1.05, 101)
         f, _, _ = _rhs_linearization(model, _networks(model, model_theta(model)), v)
         assert rhs(model, v).tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("variant, hidden", WIDTHS)
+    def test_float_rhs_is_one_stack_member_and_a_matmul_pass_bitwise(self, variant, hidden):
+        # a float solve's f: a Python float with the bits of the member
+        # solve's f and of a pass whose first product is a one-term matmul
+        from tumordyn.models import _make_rhs, _networks
+
+        model = init_model(variant, TrainConfig(schedule=((0.01, 1),), seed=4, hidden=hidden))
+        theta = model_theta(model)
+        f, member_f, layers = _make_rhs(model), _make_rhs(model, theta[None]), _networks(model, theta)
+        for v in np.random.default_rng(5).uniform(-1.0, 2.0, 300).tolist():
+            z = np.matmul(np.array([[v]]), layers[0][0]) + layers[0][1]
+            for WT, b in layers[1:]:
+                z = np.matmul(np.tanh(z), WT) + b
+            y = z.ravel().tolist()
+            got = f(v)
+            assert type(got) is float
+            assert bits(got) == bits(member_f(np.array([v]))) == bits(y[0] if variant == "neural_ode" else y[0] * v * y[1])
 
     def test_ude_factorization(self):
         from tumordyn.neuralnet import unpack_layers
@@ -297,6 +324,16 @@ class TestTrain:
             g_fd = central_difference_gradient(loss_fn, theta)
             worst = max(worst, max_relative_error(g_adj, g_fd))
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
+    def test_gradient_without_hidden_layer_matches_finite_differences(self, variant):
+        data, _, _ = make_collocation_data(11)
+        cfg = TrainConfig(schedule=((0.01, 1),), seed=2, solver_steps=20, hidden=())
+        template = init_model(variant, cfg)
+        loss_fn = make_loss_fn(template, data, cfg)
+        theta = model_theta(template) + 0.1
+        _, g_adj = value_and_grad(loss_fn, theta)
+        assert max_relative_error(g_adj, central_difference_gradient(loss_fn, theta)) < 1e-5
 
     def test_unknown_variant(self):
         data, _, _ = make_collocation_data(11)
