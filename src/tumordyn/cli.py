@@ -15,7 +15,11 @@ Common flags, before or after the command: --config <yaml>, --subject <id>,
 --out <dir>, --seed <int>, --data <csv>. Artifacts land in
 <out>/subject_<id>/; `run-all` adds <out>/table_results.csv and
 <out>/forecast_summary.csv. Every SVG plot has a CSV twin carrying the same
-numbers. Exit code is 0 only if every stage succeeded.
+numbers. Exit code is 0 only if the config loaded and every stage succeeded.
+
+Every CSV artifact is written by this module's `_write_csv`, in one
+dialect: UTF-8, the csv module's default dialect, a header row, and floats
+as `repr`. Each stage states its table's columns next to its file name.
 
 Every fit and forecast cell trains through `models.train_batch`. A cell's
 training part comes from `_cell_parts`, and `stage_forecast` scores each
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -36,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, models, symrec
-from .forecast import SplitSpec, score, split, write_cell_csv, write_suite_csv
+from .forecast import SplitSpec, score, split
 from .config import RunConfig, load_config
-from .odeint import GompertzParams, Trajectory, write_trajectory_csv
+from .odeint import GompertzParams
 from .svgplot import PlotStyle, emit_plot
 
 __all__ = ["run_all", "main", "emit_plot"]
@@ -86,6 +91,16 @@ def _plot_against_target(
     )
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write one artifact table, the only way an artifact CSV is written:
+    UTF-8, the csv module's default dialect, a header row, and each float
+    (numpy's included) as the `repr` of a Python float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows)
+
+
 def _cell_parts(config: RunConfig, data) -> list:
     """The training part of each forecast cell, in sorted-fraction order."""
     return [split(data, SplitSpec(fraction))[0] for fraction in sorted(config.fractions)]
@@ -121,7 +136,9 @@ def _train_members(config: RunConfig, variant: str, jobs) -> list[tuple[list, fl
 
 
 def stage_interpolate(config: RunConfig, ctx: _SubjectContext) -> dict:
-    dataio.write_interpolant_csv(ctx.sigmoid, config.n_collocation, ctx.norm_map, ctx.out_dir / "interpolant.csv")
+    samples = dataio.sample_interpolant(ctx.sigmoid, config.n_collocation)
+    rows = [(tau, ctx.norm_map.denormalize_t(tau), v) for tau, v in samples]
+    _write_csv(ctx.out_dir / "interpolant.csv", ["tau", "time_days", "volume_mm3"], rows)
     dense = dataio.sample_interpolant(ctx.sigmoid, _CURVE_SAMPLES)
     times = [float(ctx.norm_map.denormalize_t(t)) for t, _ in dense]
     emit_plot(
@@ -141,7 +158,7 @@ def stage_gompertz(config: RunConfig, ctx: _SubjectContext) -> dict:
     v0 = float(ctx.sigmoid.value(0.0))
     t_min, t_max = ctx.norm_map.t_min, ctx.norm_map.t_max
     traj = models.solve(model, v0, (t_min, t_max), config.solver_steps)
-    write_trajectory_csv(traj, ctx.out_dir / "gompertz.csv")
+    _write_csv(ctx.out_dir / "gompertz.csv", ["t", "state"], zip(traj.times, traj.states))
 
     taus, target_volumes = _physical_targets(ctx)
     predicted = np.interp(ctx.norm_map.denormalize_t(taus), traj.times, traj.states)
@@ -163,17 +180,18 @@ def _write_fit(config: RunConfig, ctx: _SubjectContext, variant: str, fit):
     if isinstance(fit, Exception):
         raise fit
     model, report = fit
-    models.write_report_csv(report, ctx.out_dir / f"{variant}_fit.csv")
+    # epoch 0 is the loss before any update
+    losses = (report.initial_loss, *report.loss_history)
+    _write_csv(ctx.out_dir / f"{variant}_fit.csv", ["epoch", "loss"], enumerate(losses))
     models.save_model(model, ctx.out_dir / f"{variant}.ckpt.json", seed=config.seed)
 
     traj = models.solve(model, ctx.data[0][1], (0.0, 1.0), config.solver_steps)
-    physical = Trajectory(
-        ctx.norm_map.denormalize_t(traj.times), ctx.norm_map.denormalize_v(traj.states)
-    )
-    write_trajectory_csv(physical, ctx.out_dir / f"{variant}_traj.csv")
+    states = ctx.norm_map.denormalize_v(traj.states)
+    times = ctx.norm_map.denormalize_t(traj.times)
+    _write_csv(ctx.out_dir / f"{variant}_traj.csv", ["t", "state"], zip(times, states))
 
     taus, _ = _physical_targets(ctx)
-    predicted = np.interp(taus, traj.times, physical.states)
+    predicted = np.interp(taus, traj.times, states)
     label = "Neural ODE" if variant == "neural_ode" else "UDE"
     _plot_against_target(ctx, variant, label, predicted, f"{label} fit")
     physical_scale = ctx.norm_map.v_scale**2
@@ -208,8 +226,10 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext, fits: dict) -> list[
                     raise fit
                 result = score(ctx.data, fraction, fit, config.solver_steps)
                 pct = int(round(fraction * 100))
-                write_cell_csv(result, ctx.data, ctx.out_dir / f"forecast_{variant}_{pct}.csv")
                 states = np.interp(taus, result.trajectory.times, result.trajectory.states)
+                test_taus = {tau for tau, _ in split(ctx.data, SplitSpec(fraction))[1]}
+                cell = [(tau, v, pred, int(tau in test_taus)) for (tau, v), pred in zip(ctx.data, states)]
+                _write_csv(ctx.out_dir / f"forecast_{variant}_{pct}.csv", ["tau", "v_true", "v_pred", "is_test"], cell)
                 _plot_against_target(
                     ctx,
                     f"forecast_{variant}_{pct}",
@@ -222,7 +242,9 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext, fits: dict) -> list[
             except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
                 row["error"] = str(exc)
             rows.append(row)
-    write_suite_csv(rows, ctx.subject_id, ctx.out_dir / "forecast.csv")
+    header = ["subject", "variant", "fraction", "train_loss", "test_mse"]
+    table = [[ctx.subject_id] + [math.nan if r[key] is None else r[key] for key in header[1:]] for r in rows]
+    _write_csv(ctx.out_dir / "forecast.csv", header, table)
     return rows
 
 
@@ -238,7 +260,8 @@ def stage_recover(config: RunConfig, ctx: _SubjectContext, variant: str, model) 
         sig_figs=config.sig_figs,
         solver_steps=config.solver_steps,
     )
-    symrec.write_fit_csv(fit, ctx.out_dir / f"recovered_{variant}.csv")
+    rows = enumerate(fit.beta, start=1)
+    _write_csv(ctx.out_dir / f"recovered_{variant}.csv", ["basis_index", "coefficient"], rows)
     print(f"[subject {ctx.subject_id}] {variant}: {expression}")
     return {
         "expression": expression,
@@ -334,49 +357,6 @@ def _finish_subject(config: RunConfig, run: _SubjectRun, trained: dict) -> None:
         json.dump(run.timings, fh, indent=2, sort_keys=True, allow_nan=False)
 
 
-def write_results_table(summaries, path) -> None:
-    """Per-subject best losses and recovered expressions."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "node_loss", "ude_loss", "node_expression", "ude_expression"])
-        for s in summaries:
-            node = s.get("neural_ode") or {}
-            ude = s.get("ude") or {}
-            rec = s.get("recovered") or {}
-            writer.writerow(
-                [
-                    s["subject"],
-                    repr(node.get("best_loss")) if node else "",
-                    repr(ude.get("best_loss")) if ude else "",
-                    (rec.get("neural_ode") or {}).get("expression", ""),
-                    (rec.get("ude") or {}).get("expression", ""),
-                ]
-            )
-
-
-def write_forecast_summary(config: RunConfig, summaries, path) -> None:
-    """Held-out MSE per subject, variant and training fraction; a missing
-    or failed cell is an empty field."""
-    pcts = [int(round(f * 100)) for f in config.fractions]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["subject", "K"]
-        for variant in ("neural_ode", "ude"):
-            header += [f"{variant}_{pct}" for pct in pcts]
-        writer.writerow(header)
-        for s in summaries:
-            row = [s["subject"], repr(config.basis_K(s["subject"]))]
-            cells = {
-                (r["variant"], int(round(r["fraction"] * 100))): r["test_mse"]
-                for r in (s.get("forecast") or [])
-            }
-            for variant in ("neural_ode", "ude"):
-                for pct in pcts:
-                    value = cells.get((variant, pct))
-                    row.append("" if value is None else repr(value))
-            writer.writerow(row)
-
-
 def run_all(config: RunConfig) -> list[dict]:
     """Every stage for every configured subject, stage-major, plus
     aggregate tables; returns the subjects' summaries in config order.
@@ -400,8 +380,21 @@ def run_all(config: RunConfig) -> list[dict]:
         summaries[summary["subject"]] = summary
     ordered = [summaries[sid] for sid in config.subjects]
 
-    write_results_table(ordered, out_root / "table_results.csv")
-    write_forecast_summary(config, ordered, out_root / "forecast_summary.csv")
+    # per subject: best losses and recovered expressions, and the held-out
+    # MSE of each cell, where a missing or failed cell is an empty field
+    pcts = [int(round(f * 100)) for f in config.fractions]
+    results, forecasts = [], []
+    for s in ordered:
+        fits, rec = [s.get(v) for v in ("neural_ode", "ude")], s.get("recovered") or {}
+        expressions = [(rec.get(v) or {}).get("expression", "") for v in ("neural_ode", "ude")]
+        results.append([s["subject"], *(fit["best_loss"] if fit else "" for fit in fits), *expressions])
+        cells = {(r["variant"], int(round(r["fraction"] * 100))): r["test_mse"] for r in s.get("forecast") or []}
+        mses = [cells.get((v, pct)) for v in ("neural_ode", "ude") for pct in pcts]
+        forecasts.append([s["subject"], config.basis_K(s["subject"])] + ["" if m is None else m for m in mses])
+    header = ["subject", "node_loss", "ude_loss", "node_expression", "ude_expression"]
+    _write_csv(out_root / "table_results.csv", header, results)
+    header = ["subject", "K"] + [f"{v}_{pct}" for v in ("neural_ode", "ude") for pct in pcts]
+    _write_csv(out_root / "forecast_summary.csv", header, forecasts)
     return ordered
 
 
@@ -435,10 +428,9 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     command = args.command
-
     try:
+        config = _config_from_args(args)
         if command == "run-all":
             summaries = run_all(config)
             failures = [

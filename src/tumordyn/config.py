@@ -20,7 +20,9 @@ forecast cell of a pipeline series (tau from 0 to 1) splits.
 
 The file is parsed by libyaml's C parser (`yaml.CSafeLoader`: the safe
 constructor and resolver of `yaml.SafeLoader`) where PyYAML was built
-with it, and by the pure-Python `yaml.SafeLoader` otherwise.
+with it, and by the pure-Python `yaml.SafeLoader` otherwise. Under either,
+a key given twice in one mapping is an error naming it and its line, not
+a silent last-one-wins.
 
 Example:
 
@@ -208,8 +210,28 @@ _KEYS = {
 }
 _SECTIONS = {key[0] for key in _KEYS if len(key) == 2}
 
+
+def _unique_keys(base):
+    """`base`, where a key given twice in one mapping (`1` and `1.0` too) is
+    an error naming it and its line; a key a merge (`<<`) brings in is not."""
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = []  # not a set: an unhashable key is the base class's error
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in seen:
+                        line = key_node.start_mark.line + 1
+                        raise ValueError(f"config key {key}: given twice, the second time on line {line}")
+                    seen.append(key)
+            return super().construct_mapping(node, deep)
+
+    return Loader
+
+
 # the C parser where PyYAML has it, with the same safe constructor and resolver
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _unique_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_config(path=None, **overrides) -> RunConfig:

@@ -18,7 +18,6 @@ smooth training target between sparse measurements.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "make_norm_map",
     "fit_sigmoid",
     "sample_interpolant",
-    "write_interpolant_csv",
 ]
 
 
@@ -349,11 +347,3 @@ def sample_interpolant(fit: SigmoidFit, n: int) -> list[tuple[float, float]]:
     taus = np.linspace(0.0, 1.0, int(n))
     values = fit.value(taus)
     return [(float(t), float(v)) for t, v in zip(taus, values)]
-
-
-def write_interpolant_csv(fit: SigmoidFit, n: int, norm_map: NormalizationMap, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "time_days", "volume_mm3"])
-        for tau, v in sample_interpolant(fit, n):
-            writer.writerow([repr(tau), repr(float(norm_map.denormalize_t(tau))), repr(v)])

@@ -7,14 +7,13 @@ construction; the held-out error is the normalized MSE on the test points.
 Cells take one path: `cli._cell_parts` splits the series at each fraction,
 `models.train_batch` trains the training parts, and `score` solves and
 scores each fitted cell, raising its failure; `cli.stage_forecast` turns
-each cell into a row (a failed cell is an error row) for `write_suite_csv`.
+each cell into a row of `forecast.csv` (a failed cell is a row of nan
+losses) and writes the cell's own table, whose test points are `split`'s.
 `run-all` batches cells across subjects; `forecast` is one cell.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "split",
     "score",
     "forecast",
-    "write_suite_csv",
-    "write_cell_csv",
 ]
 
 _SPLIT_EPS = 1e-9  # absorbs float dust when comparing grid taus to the fraction
@@ -49,7 +46,6 @@ class ForecastResult:
     model: DynamicsModel
     test_mse: float
     trajectory: Trajectory
-    split_tau: float
     report: TrainReport
 
     @property
@@ -85,7 +81,6 @@ def score(data, fraction: float, fit, solver_steps: int) -> ForecastResult:
         model=model,
         test_mse=float(np.mean((predicted - test_values) ** 2)),
         trajectory=trajectory,
-        split_tau=fraction,
         report=report,
     )
 
@@ -98,26 +93,3 @@ def forecast(variant: str, data, spec: SplitSpec, config: TrainConfig) -> Foreca
     """
     fit = train(variant, split(data, spec)[0], config)
     return score(data, spec.train_fraction, fit, config.solver_steps)
-
-
-def write_suite_csv(rows, subject_id: int, path) -> None:
-    """One line per cell row: a dict with `variant`, `fraction`,
-    `train_loss` and `test_mse`, where a failed cell's None losses are nan."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "variant", "fraction", "train_loss", "test_mse"])
-        for row in rows:
-            losses = [math.nan if row[key] is None else row[key] for key in ("train_loss", "test_mse")]
-            writer.writerow([subject_id, row["variant"], repr(row["fraction"]), *map(repr, losses)])
-
-
-def write_cell_csv(result: ForecastResult, data, path) -> None:
-    """Per-cell plot data: target vs prediction with the test region flagged."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "v_true", "v_pred", "is_test"])
-        for tau, v in data:
-            pred = float(np.interp(tau, result.trajectory.times, result.trajectory.states))
-            writer.writerow(
-                [repr(tau), repr(v), repr(pred), int(tau > result.split_tau + _SPLIT_EPS)]
-            )

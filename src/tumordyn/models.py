@@ -37,7 +37,6 @@ members.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -95,7 +94,6 @@ __all__ = [
     "train_batch",
     "save_model",
     "load_model",
-    "write_report_csv",
 ]
 
 DEFAULT_NEURAL_ODE_HIDDEN = (128, 128, 64, 64)
@@ -653,13 +651,3 @@ def load_model(path) -> DynamicsModel:
     if not (isinstance(networks, list) and len(networks) == n_nets):
         raise ValueError(f"a {variant} checkpoint needs {n_nets} networks")
     return cls(*(params_from_blob(b) for b in networks))
-
-
-def write_report_csv(report: TrainReport, path) -> None:
-    """Epoch/loss trace; epoch 0 is the loss before any update."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        writer.writerow([0, repr(report.initial_loss)])
-        for i, value in enumerate(report.loss_history, start=1):
-            writer.writerow([i, repr(value)])

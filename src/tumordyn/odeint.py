@@ -17,7 +17,6 @@ exact solution is the oracle every solver test is measured against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "rk4_states",
     "rk4_adjoint",
     "solve_fixed_grid",
-    "write_trajectory_csv",
 ]
 
 
@@ -199,11 +197,3 @@ def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajec
     n_steps = int(n_steps)
     times = np.linspace(t0, t1, n_steps + 1)
     return Trajectory(times, rk4_states(f, v0, times, (t1 - t0) / n_steps))
-
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "state"])
-        for t, s in zip(trajectory.times, trajectory.states):
-            writer.writerow([repr(float(t)), repr(float(s))])

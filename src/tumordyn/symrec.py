@@ -15,7 +15,6 @@ Basis indices are 1-based throughout, matching the phi numbering.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +33,6 @@ __all__ = [
     "sparse_regress",
     "format_expression",
     "recover",
-    "write_fit_csv",
 ]
 
 
@@ -237,11 +235,3 @@ def recover(
     Phi, y = build_design_matrix(samples, basis)
     fit = sparse_regress(Phi, y, lam)
     return fit, format_expression(fit, basis, sig_figs)
-
-
-def write_fit_csv(fit: SparseFit, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["basis_index", "coefficient"])
-        for i, c in enumerate(fit.beta, start=1):
-            writer.writerow([i, repr(float(c))])

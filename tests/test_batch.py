@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import tumordyn.models as models
-from conftest import bits, forecast_cells, make_collocation_data, reference_forward
-from tumordyn.forecast import SplitSpec, forecast, write_cell_csv
+from conftest import bits, forecast_cells, make_collocation_data, make_growth_series, reference_forward
+from tumordyn import cli
+from tumordyn.config import RunConfig
+from tumordyn.forecast import SplitSpec, forecast
 from tumordyn.models import (
     TrainConfig,
     TrainingError,
@@ -123,6 +125,15 @@ def test_suite_cells_equal_solo_forecasts(variant):
         assert bits(outcome.trajectory.states) == bits(alone.trajectory.states)
 
 
+def cell_table(out, fraction, result, cfg) -> bytes:
+    """The bytes of a scored cell's table, as `cli.stage_forecast` writes it
+    for the 21-point series of `make_collocation_data`."""
+    config = RunConfig(out_dir=str(out), n_collocation=21, solver_steps=cfg.solver_steps, fractions=(fraction,))
+    ctx = cli._prepare_subject(config, make_growth_series())
+    cli.stage_forecast(config, ctx, {"neural_ode": [], "ude": [(result.model, result.report)]})
+    return (ctx.out_dir / f"forecast_ude_{round(fraction * 100)}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_diverging_cell_fails_alone(variant, monkeypatch, tmp_path):
     data, _, _ = make_collocation_data(21)
@@ -144,9 +155,8 @@ def test_diverging_cell_fails_alone(variant, monkeypatch, tmp_path):
             assert_same_error(outcome, exc)
             continue
         assert bits([outcome.train_loss, outcome.test_mse]) == bits([alone.train_loss, alone.test_mse])
-        write_cell_csv(outcome, data, tmp_path / "suite.csv")
-        write_cell_csv(alone, data, tmp_path / "solo.csv")
-        assert (tmp_path / "suite.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+        suite = cell_table(tmp_path / "suite", fraction, outcome, cfg)
+        assert suite == cell_table(tmp_path / "solo", fraction, alone, cfg)
 
 
 def test_initialization_is_drawn_once_per_batch(monkeypatch):

@@ -173,11 +173,38 @@ class TestConfig:
             )
         configs = []
         for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-            monkeypatch.setattr(tumordyn.config, "_LOADER", loader)
+            monkeypatch.setattr(tumordyn.config, "_LOADER", tumordyn.config._unique_keys(loader))
             configs.append(load_config(path))
         assert configs[0] == configs[1]
         if name == "cohort":
             assert len(configs[0].subjects) == 24 and configs[0].basis_K(124) == 900.0 + 45.5 * 23
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("seed: 1\nseed: 7\n", "seed", 2),
+            # the second section would replace the first, schedule and all
+            ("neural_ode: {schedule: [[0.01, 5]]}\nneural_ode: {hidden: [4]}\n", "neural_ode", 2),
+            ("recover: {K_by_subject: {1: 1200.0, 1.0: 900.0}}\n", "1.0", 1),
+            ("ude:\n  hidden: [4]\n  schedule: [[0.01, 5]]\n  hidden: [6]\n", "hidden", 4),
+        ],
+    )
+    def test_repeated_key_fails_naming_it_and_its_line(self, tmp_path, monkeypatch, loader, text, key, line):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(tumordyn.config, "_LOADER", tumordyn.config._unique_keys(getattr(yaml, loader)))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"config key {key}: given twice, the second time on line {line}"
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("neural_ode: &n {hidden: [4], schedule: [[0.01, 5]]}\nude: {<<: *n, hidden: [3]}\n")
+        cfg = load_config(path)
+        assert (cfg.ude_hidden, cfg.ude_schedule) == ((3,), ((0.01, 5),))
 
     def test_integral_values_load(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -298,17 +325,17 @@ class TestRunSubject:
                 assert fit[f"{name}_physical"] == fit[name] * scale
 
     def test_failed_forecast_cell_is_strict_json_null(self, tiny_config, monkeypatch):
-        real_write = tumordyn.cli.write_cell_csv
+        real_write = tumordyn.cli._write_csv
 
-        def failing_write(result, data, path):
+        def failing_write(path, header, rows):
             if path.name == "forecast_ude_60.csv":
                 raise RuntimeError("injected cell failure")
-            return real_write(result, data, path)
+            return real_write(path, header, rows)
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        monkeypatch.setattr(tumordyn.cli, "write_cell_csv", failing_write)
+        monkeypatch.setattr(tumordyn.cli, "_write_csv", failing_write)
         out = tiny_config.parent / "out"
         run_all(load_config(tiny_config))
         summary = json.loads((out / "subject_1" / "summary.json").read_text(), parse_constant=reject)
@@ -531,3 +558,50 @@ class TestMain:
         assert main(["recover", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
         assert out.count("dV/dt") == 2
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("seed: 1.5\n", "ValueError: config key seed: "),
+            (None, "FileNotFoundError: "),  # no config file at the path given
+        ],
+    )
+    def test_config_that_fails_to_load_exit_one(self, tmp_path, capsys, text, error):
+        path = tmp_path / "run.yaml"
+        if text is not None:
+            path.write_text(text)
+        for command in ("interpolate", "run-all"):
+            assert main([command, "--config", str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"[{command}] {error}")
+
+
+class TestOneWriter:
+    def test_every_csv_artifact_goes_through_write_csv(self, tiny_config, monkeypatch):
+        written = []
+        real_write = tumordyn.cli._write_csv
+
+        def recording_write(path, header, rows):
+            written.append(Path(path))
+            return real_write(path, header, rows)
+
+        monkeypatch.setattr(tumordyn.cli, "_write_csv", recording_write)
+        out = tiny_config.parent / "out"
+        run_all(load_config(tiny_config))
+        for command, out_dir in [
+            ("forecast", "forecast"),
+            ("train-node", "fits"),
+            ("train-ude", "fits"),
+            ("recover", "fits"),
+            ("interpolate", "interpolate"),
+            ("gompertz", "gompertz"),
+        ]:
+            assert main([command, "--config", str(tiny_config), "--out", str(out / out_dir)]) == 0
+        assert len(written) == len(set(written))
+        assert set(written) == set(out.rglob("*.csv"))
+        # a recovered law's table: one coefficient a basis function
+        recovered = list(out.rglob("recovered_*.csv"))
+        assert len(recovered) == 4  # run-all's and recover's, two variants each
+        for path in recovered:
+            lines = path.read_text().splitlines()
+            assert lines[0] == "basis_index,coefficient"
+            assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_growth_series
+from tumordyn import cli
+from tumordyn.config import RunConfig
 from tumordyn.dataio import (
     CsvFormatError,
     NormalizationMap,
@@ -17,7 +19,6 @@ from tumordyn.dataio import (
     make_norm_map,
     sample_interpolant,
     volume_from_calipers,
-    write_interpolant_csv,
 )
 
 
@@ -231,9 +232,12 @@ class TestSampleInterpolant:
             sample_interpolant(self.FIT, 1)
 
     def test_csv_export(self, tmp_path):
-        norm_map = NormalizationMap(22.0, 32.0, 80.0, 1000.0)
-        path = tmp_path / "interp.csv"
-        write_interpolant_csv(self.FIT, 5, norm_map, path)
-        lines = path.read_text().strip().splitlines()
+        # the interpolant's table, as the `interpolate` stage writes it
+        config = RunConfig(out_dir=str(tmp_path), n_collocation=5)
+        ctx = cli._prepare_subject(config, make_growth_series())
+        cli.stage_interpolate(config, ctx)
+        lines = (ctx.out_dir / "interpolant.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,time_days,volume_mm3"
-        assert len(lines) == 6
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert [(tau, v) for tau, _, v in rows] == sample_interpolant(ctx.sigmoid, 5)
+        assert [t for _, t, _ in rows] == [22.0, 24.5, 27.0, 29.5, 32.0]

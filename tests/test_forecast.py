@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forecast_cells, make_collocation_data
-from tumordyn.forecast import SplitSpec, forecast, score, split, write_cell_csv, write_suite_csv
+from conftest import forecast_cells, make_collocation_data, make_growth_series
+from tumordyn import cli
+from tumordyn.config import RunConfig
+from tumordyn.forecast import SplitSpec, forecast, score, split
 from tumordyn.models import TrainConfig, TrainReport, solve, GompertzModel
 from tumordyn.odeint import GompertzParams, gompertz_exact
 
@@ -62,7 +64,6 @@ class TestForecast:
         data, _, _ = make_collocation_data(21)
         result = forecast("neural_ode", data, SplitSpec(0.7), TINY)
         assert result.trajectory.span == (0.0, 1.0)
-        assert result.split_tau == 0.7
 
     def test_trained_variant_smoke(self):
         data, _, _ = make_collocation_data(11)
@@ -89,25 +90,42 @@ class TestForecastSuite:
 
 
 class TestExports:
+    """A cell's rows in the tables `cli.stage_forecast` writes."""
+
+    @staticmethod
+    def stage(tmp_path, fractions, fits):
+        """Score and write the cells of `fits`, per variant in sorted-fraction
+        order, on the pipeline's 21-point series; returns (rows, out_dir)."""
+        config = RunConfig(out_dir=str(tmp_path), n_collocation=21, solver_steps=20, fractions=fractions)
+        ctx = cli._prepare_subject(config, make_growth_series())
+        assert ctx.data == make_collocation_data(21)[0]
+        return cli.stage_forecast(config, ctx, fits), ctx.out_dir
+
     def test_suite_csv(self, tmp_path):
-        rows = [
-            {"variant": "ude", "fraction": 0.9, "train_loss": 0.25, "test_mse": 0.5, "error": None},
-            {"variant": "ude", "fraction": 0.8, "train_loss": None, "test_mse": None, "error": "failed"},
-        ]
-        path = tmp_path / "suite.csv"
-        write_suite_csv(rows, 1, path)
-        assert path.read_text().splitlines() == [
+        data, _, _ = make_collocation_data(21)
+        fit = forecast("ude", data, SplitSpec(0.9), TINY)
+        failed = ValueError("failed")
+        fits = {"neural_ode": [failed, failed], "ude": [failed, (fit.model, fit.report)]}
+        rows, out = self.stage(tmp_path, (0.9, 0.8), fits)
+        assert (out / "forecast.csv").read_text().splitlines() == [
             "subject,variant,fraction,train_loss,test_mse",
-            "1,ude,0.9,0.25,0.5",
-            "1,ude,0.8,nan,nan",  # a failed cell
+            "1,neural_ode,0.8,nan,nan",  # a failed cell
+            "1,neural_ode,0.9,nan,nan",
+            "1,ude,0.8,nan,nan",
+            f"1,ude,0.9,{fit.train_loss!r},{fit.test_mse!r}",
         ]
+        assert rows[3]["test_mse"] == fit.test_mse
 
     def test_cell_csv_flags_test_points(self, tmp_path):
         data, _, _ = make_collocation_data(21)
         result = forecast("neural_ode", data, SplitSpec(0.9), TINY)
-        path = tmp_path / "cell.csv"
-        write_cell_csv(result, data, path)
-        lines = path.read_text().strip().splitlines()
+        fits = {"neural_ode": [(result.model, result.report)], "ude": [ValueError("failed")]}
+        _, out = self.stage(tmp_path, (0.9,), fits)
+        lines = (out / "forecast_neural_ode_90.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,v_true,v_pred,is_test"
-        flags = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
-        assert sum(flags) == 2  # the two points beyond tau = 0.9
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(flag) for *_, flag in rows] == [0] * 19 + [1] * 2  # the two points beyond tau = 0.9
+        assert [(float(tau), float(v)) for tau, v, _, _ in rows] == data
+        predicted = [float(np.interp(tau, result.trajectory.times, result.trajectory.states)) for tau, _ in data]
+        assert [float(pred) for _, _, pred, _ in rows] == predicted
+        assert not (out / "forecast_ude_90.csv").exists()

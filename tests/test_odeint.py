@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_growth_series
+from tumordyn import cli
+from tumordyn.config import RunConfig
 from tumordyn.odeint import (
     DivergenceError,
     GompertzParams,
@@ -12,7 +15,6 @@ from tumordyn.odeint import (
     rk4_adjoint,
     rk4_states,
     solve_fixed_grid,
-    write_trajectory_csv,
 )
 
 P = GompertzParams(a=0.3, K=1200.0)
@@ -196,8 +198,10 @@ class TestTrajectory:
             Trajectory(times=[0.0, 1.0], states=[1.0])
 
     def test_csv_export(self, tmp_path):
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(Trajectory(times=[0.0, 1.0], states=[2.0, 3.0]), path)
-        lines = path.read_text().strip().splitlines()
+        # a trajectory's table, as the `gompertz` stage writes it: one row a node
+        config = RunConfig(out_dir=str(tmp_path), solver_steps=2)
+        ctx = cli._prepare_subject(config, make_growth_series())
+        cli.stage_gompertz(config, ctx)
+        lines = (ctx.out_dir / "gompertz.csv").read_text().strip().splitlines()
         assert lines[0] == "t,state"
-        assert len(lines) == 3
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [22.0, 27.0, 32.0]

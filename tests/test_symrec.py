@@ -15,7 +15,6 @@ from tumordyn.symrec import (
     recover,
     sample_physical_derivatives,
     sparse_regress,
-    write_fit_csv,
 )
 
 BASIS = BasisSet(K=1200.0)
@@ -251,12 +250,8 @@ class TestFormatExpression:
 
 
 class TestRecoverDriver:
-    def test_end_to_end_on_gompertz(self, tmp_path):
+    def test_end_to_end_on_gompertz(self):
         fit, expression = recover(NORM_MODEL, MAP_10_DAYS, BASIS, v0=50.0 / 1200.0)
         assert expression.startswith("dV/dt ≈ ")
         assert "V*log(1200/V)" in expression
-        path = tmp_path / "fit.csv"
-        write_fit_csv(fit, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "basis_index,coefficient"
-        assert len(lines) == 5
+        assert fit.beta.shape == (4,)
