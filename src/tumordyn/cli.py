@@ -256,8 +256,6 @@ def stage_recover(config: RunConfig, ctx: _SubjectContext, variant: str, model) 
         basis,
         v0=ctx.data[0][1],
         n_samples=config.recover_n_samples,
-        lam=config.recover_lambda,
-        sig_figs=config.sig_figs,
         solver_steps=config.solver_steps,
     )
     rows = enumerate(fit.beta, start=1)
@@ -468,7 +466,11 @@ def main(argv=None) -> int:
                         file=sys.stderr,
                     )
                     return 1
-                stage_recover(config, ctx, variant, models.load_model(ckpt))
+                model = models.load_model(ckpt)
+                if model.variant != variant:
+                    print(f"[{command}] {ckpt} holds a {model.variant} checkpoint", file=sys.stderr)
+                    return 1
+                stage_recover(config, ctx, variant, model)
         return 0
     except Exception as exc:  # noqa: BLE001 - single place that maps errors to exit codes
         print(f"[{command}] {type(exc).__name__}: {exc}", file=sys.stderr)

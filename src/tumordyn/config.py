@@ -4,19 +4,21 @@ A run is fully described by one YAML file; every omitted key falls back to
 the defaults below (Gompertz baseline a=0.3, K=1200; neural ODE with hidden
 widths [128, 128, 64, 64] trained 500 epochs at lr 0.01; UDE with two
 [10, 10] networks trained through the lr schedule 0.01/0.005/0.001 for
-1000/1000/500 epochs; forecasts at 90/80/70% training fractions; basis
-K=1200 for every subject). `configs/default.yaml` sets these values plus
-one more, a basis K per subject (`recover.K_by_subject`). A key
-the loader does not know, at the top level or inside a section, is an
-error that names it (`neural_ode.epochs`, `subjcts`), so a misspelling
-never falls back to a default unnoticed. So is a value of the wrong kind
-or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast fraction
-whose percent label, which names its cell's files, is not in 1..99, two
-fractions with the same label, an empty schedule, a learning rate,
-Gompertz parameter or basis K that is not a finite positive number, a
-negative lambda): it fails where the RunConfig is built, from a file or in
-Python, naming its YAML key, not in a stage. With a label in 1..99, every
-forecast cell of a pipeline series (tau from 0 to 1) splits.
+1000/1000/500 epochs; forecasts at 90/80/70% training fractions). Recovery
+always uses the data-driven L1 weight, 3 significant figures and basis
+K=1200 for a subject `recover.K_by_subject` does not list; none of these
+is a key. `configs/default.yaml` sets these values plus that mapping. A
+key the loader does not know, at the top level or inside a section, is an
+error that names it (`neural_ode.epochs`, `subjcts`, `recover.lambda`), so
+a misspelling never falls back to a default unnoticed. So is a value of
+the wrong kind or out of range (`seed: 1.7`, `solver_steps: 0`, a forecast
+fraction whose percent label, which names its cell's files, is not in
+1..99 or whose cell keeps under 2 of the `n_collocation` points to train
+on, two fractions with the same label, an empty schedule, a learning rate,
+Gompertz parameter or basis K that is not a finite positive number): it
+fails where the RunConfig is built, from a file or in Python, naming its
+YAML key, not in a stage. With a label in 1..99, every forecast cell of a
+pipeline series (tau from 0 to 1) splits.
 
 The file is parsed by libyaml's C parser (`yaml.CSafeLoader`: the safe
 constructor and resolver of `yaml.SafeLoader`) where PyYAML was built
@@ -33,7 +35,6 @@ Example:
     neural_ode:
       schedule: [[0.01, 500]]
     recover:
-      K: 1200.0
       K_by_subject: {2: 2100.0}
 """
 
@@ -43,8 +44,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
 import yaml
 
+from .forecast import SplitSpec, split
 from .models import (
     DEFAULT_NEURAL_ODE_HIDDEN,
     DEFAULT_NEURAL_ODE_SCHEDULE,
@@ -55,6 +58,8 @@ from .models import (
 from .neuralnet import as_int, as_positive
 
 __all__ = ["RunConfig", "load_config"]
+
+_BASIS_K = 1200.0  # the recovery basis K of a subject `recover.K_by_subject` does not list
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,6 @@ class RunConfig:
     ude_schedule: tuple[tuple[float, int], ...] = DEFAULT_UDE_SCHEDULE
     fractions: tuple[float, ...] = (0.9, 0.8, 0.7)
     recover_n_samples: int = 101
-    recover_lambda: float | None = None  # None = data-driven default
-    sig_figs: int = 3
-    basis_K_default: float = 1200.0
     basis_K_by_subject: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,6 +86,12 @@ class RunConfig:
                 object.__setattr__(self, name, convert(getattr(self, name)))
             except (TypeError, ValueError) as exc:  # TypeError: e.g. a number where a list belongs
                 raise ValueError(f"config key {'.'.join(key)}: {exc}") from None
+        # a cell trains on the collocation points its split keeps, and a fit needs 2
+        taus = [(float(t), 0.0) for t in np.linspace(0.0, 1.0, self.n_collocation)]
+        for fraction in self.fractions:
+            if len(split(taus, SplitSpec(fraction))[0]) < 2:
+                kept = f"keeps 1 of the {self.n_collocation} points to train on"
+                raise ValueError(f"config key forecast.fractions: {fraction} {kept}")
 
     def node_config(self) -> TrainConfig:
         return TrainConfig(
@@ -102,7 +110,7 @@ class RunConfig:
         )
 
     def basis_K(self, subject_id: int) -> float:
-        return float(self.basis_K_by_subject.get(int(subject_id), self.basis_K_default))
+        return float(self.basis_K_by_subject.get(int(subject_id), _BASIS_K))
 
 
 def _text(value) -> str:
@@ -170,17 +178,6 @@ def _subjects(ids):
     return subjects
 
 
-def _lambda(value):
-    if value is None or value == "auto":
-        return None
-    if isinstance(value, str):
-        raise ValueError(f"must be a number or 'auto', got {value!r}")
-    lam = _float(value)
-    if lam < 0:
-        raise ValueError(f"must be >= 0, got {value!r}")
-    return lam
-
-
 def _K_by_subject(mapping):
     if not isinstance(mapping, dict):
         raise ValueError(f"must map subject ids to K, got {mapping!r}")
@@ -203,9 +200,6 @@ _KEYS = {
     ("ude", "schedule"): ("ude_schedule", _schedule),
     ("forecast", "fractions"): ("fractions", _fractions),
     ("recover", "n_samples"): ("recover_n_samples", _at_least(10)),
-    ("recover", "lambda"): ("recover_lambda", _lambda),
-    ("recover", "sig_figs"): ("sig_figs", _at_least(1)),
-    ("recover", "K"): ("basis_K_default", _positive),
     ("recover", "K_by_subject"): ("basis_K_by_subject", _K_by_subject),
 }
 _SECTIONS = {key[0] for key in _KEYS if len(key) == 2}

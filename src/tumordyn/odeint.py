@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neuralnet import as_positive
+
 __all__ = [
     "GompertzParams",
     "Trajectory",
@@ -48,8 +50,8 @@ class GompertzParams:
     K: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.K > 0):
-            raise ValueError(f"Gompertz parameters must be positive, got a={self.a}, K={self.K}")
+        object.__setattr__(self, "a", as_positive(self.a, "Gompertz a"))
+        object.__setattr__(self, "K", as_positive(self.K, "Gompertz K"))
 
 
 @dataclass(frozen=True)

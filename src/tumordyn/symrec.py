@@ -226,12 +226,11 @@ def recover(
     v0: float,
     *,
     n_samples: int = 101,
-    lam: float | None = None,
-    sig_figs: int = 3,
     solver_steps: int = 100,
 ) -> tuple[SparseFit, str]:
-    """Sample, regress, and format in one step; returns (fit, expression)."""
+    """Sample, regress at `default_lambda`, and format at 3 significant
+    figures in one step; returns (fit, expression)."""
     samples = sample_physical_derivatives(model, norm_map, n_samples, v0, solver_steps=solver_steps)
     Phi, y = build_design_matrix(samples, basis)
-    fit = sparse_regress(Phi, y, lam)
-    return fit, format_expression(fit, basis, sig_figs)
+    fit = sparse_regress(Phi, y)
+    return fit, format_expression(fit, basis)

@@ -36,7 +36,6 @@ forecast:
   fractions: [0.8, 0.6]
 recover:
   n_samples: 20
-  K: 1200.0
 """
 
 
@@ -68,28 +67,27 @@ class TestConfig:
 
     def test_per_subject_K(self, tmp_path):
         path = tmp_path / "cfg.yaml"
-        path.write_text("recover:\n  K: 1000.0\n  K_by_subject: {2: 2100.0}\n")
+        path.write_text("recover:\n  K_by_subject: {2: 2100.0}\n")
         cfg = load_config(path)
-        assert cfg.basis_K(1) == 1000.0
+        assert cfg.basis_K(1) == 1200.0  # a subject the mapping does not list
         assert cfg.basis_K(2) == 2100.0
 
-    def test_bad_lambda(self, tmp_path):
+    def test_unknown_keys_named(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.yaml"
-        path.write_text("recover:\n  lambda: sometimes\n")
-        with pytest.raises(ValueError):
-            load_config(path)
-
-    def test_unknown_keys_named(self, tmp_path):
-        path = tmp_path / "cfg.yaml"
+        loaders = [getattr(yaml, name) for name in ("SafeLoader", "CSafeLoader") if hasattr(yaml, name)]
         for text, keys in [
-            ("subjcts: [3]\nneural_ode:\n  epochs: 10\n  hidden: [4]\nrecover: {K: 900.0, k: 1}\n",
+            ("subjcts: [3]\nneural_ode:\n  epochs: 10\n  hidden: [4]\nrecover: {n_samples: 20, k: 1}\n",
              "subjcts, neural_ode.epochs, recover.k"),
             ("seed: 3\ntime_input: false\n", "time_input"),  # a key older configs carried
+            # recovery settings that became constants: the L1 weight, the figures and the fallback K
+            ("recover: {lambda: auto, sig_figs: 3, K: 1200.0}\n", "recover.lambda, recover.sig_figs, recover.K"),
         ]:
             path.write_text(text)
-            with pytest.raises(ValueError) as err:
-                load_config(path)
-            assert str(err.value) == f"unknown config keys: {keys}"
+            for loader in loaders:
+                monkeypatch.setattr(tumordyn.config, "_LOADER", tumordyn.config._unique_keys(loader))
+                with pytest.raises(ValueError) as err:
+                    load_config(path)
+                assert str(err.value) == f"unknown config keys: {keys}"
 
     def test_section_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -105,15 +103,12 @@ class TestConfig:
             ("n_collocation: 1\n", "n_collocation"),
             ("forecast: {fractions: [1.5]}\n", "forecast.fractions"),
             ("recover: {n_samples: 9}\n", "recover.n_samples"),
-            ("recover: {sig_figs: 0}\n", "recover.sig_figs"),
             ("data: [a, b]\n", "data"),
             ("neural_ode: {schedule: []}\n", "neural_ode.schedule"),
             ("ude: {schedule: [[0.01, 5], [0.0, 5]]}\n", "ude.schedule"),
             ("gompertz: {a: 0}\n", "gompertz.a"),
             ("gompertz: {K: -1200.0}\n", "gompertz.K"),
-            ("recover: {K: 0.0}\n", "recover.K"),
             ("recover: {K_by_subject: {2: -2100.0}}\n", "recover.K_by_subject"),
-            ("recover: {lambda: -0.1}\n", "recover.lambda"),
             # both cells would write forecast_<variant>_70.*, the second over the first
             ("forecast: {fractions: [0.7, 0.704]}\n", "forecast.fractions"),
             ("forecast: {fractions: [0.5, 0.9, 0.5]}\n", "forecast.fractions"),
@@ -124,7 +119,6 @@ class TestConfig:
             ("forecast: {fractions: [0.9999999999]}\n", "forecast.fractions"),
             ("ude: {schedule: [[.nan, 5]]}\n", "ude.schedule"),
             # an integer beyond the float range is no finite number either
-            pytest.param("recover: {lambda: 1%s}\n" % ("0" * 400), "recover.lambda", id="lambda-1e400"),
             pytest.param("forecast: {fractions: [0.5, 1%s]}\n" % ("0" * 400), "forecast.fractions", id="fraction-1e400"),
         ],
     )
@@ -144,9 +138,6 @@ class TestConfig:
             ("gompertz_a", -1.0, "gompertz.a"),
             ("n_collocation", 1, "n_collocation"),
             ("recover_n_samples", 5, "recover.n_samples"),
-            ("sig_figs", 0, "recover.sig_figs"),
-            ("basis_K_default", 0.0, "recover.K"),
-            ("recover_lambda", -1.0, "recover.lambda"),
             ("node_hidden", (0,), "neural_ode.hidden"),
             ("seed", 1.7, "seed"),
         ],
@@ -224,13 +215,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "fractions, message",
-        [((0.7, 0.704), "same percent"), ((1.5,), r"lie in \(0, 1\)"), ((), "at least one")],
+        [
+            ((0.7, 0.704), "same percent"),
+            ((1.5,), r"lie in \(0, 1\)"),
+            ((), "at least one"),
+            # of the 11 collocation taus only tau = 0 lies at or below 0.05
+            ((0.05, 0.8), r"^config key forecast\.fractions: 0\.05 keeps 1 of the 11 points to train on$"),
+        ],
     )
     def test_fractions_checked_however_built(self, fractions, message):
         with pytest.raises(ValueError, match=message):
-            RunConfig(fractions=fractions)
+            RunConfig(fractions=fractions, n_collocation=11)
         with pytest.raises(ValueError, match=message):
-            load_config(None, fractions=fractions)
+            load_config(None, fractions=fractions, n_collocation=11)
 
 
 class TestEmitPlot:
@@ -558,6 +555,19 @@ class TestMain:
         assert main(["recover", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
         assert out.count("dV/dt") == 2
+
+    def test_recover_refuses_a_swapped_checkpoint(self, tiny_config, capsys):
+        assert main(["train-node", "--config", str(tiny_config)]) == 0
+        assert main(["train-ude", "--config", str(tiny_config)]) == 0
+        out_dir = tiny_config.parent / "out" / "subject_1"
+        node, ude = out_dir / "neural_ode.ckpt.json", out_dir / "ude.ckpt.json"
+        node_text = node.read_text()
+        node.write_text(ude.read_text())
+        ude.write_text(node_text)
+        capsys.readouterr()
+        assert main(["recover", "--config", str(tiny_config)]) == 1
+        assert capsys.readouterr().err == f"[recover] {node} holds a ude checkpoint\n"
+        assert not (out_dir / "recovered_neural_ode.csv").exists()
 
     @pytest.mark.parametrize(
         "text, error",

@@ -44,6 +44,11 @@ class TestGompertzRhs:
             GompertzParams(a=-0.1, K=1200.0)
         with pytest.raises(ValueError):
             GompertzParams(a=0.3, K=0.0)
+        for bad in (math.inf, math.nan, True, "0.3"):
+            with pytest.raises(ValueError):
+                GompertzParams(a=bad, K=1200.0)
+            with pytest.raises(ValueError):
+                GompertzParams(a=0.3, K=bad)
 
 
 class TestGompertzExact:
