@@ -255,13 +255,18 @@ def make_norm_map(series: TumorSeries) -> NormalizationMap:
     )
 
 
-def _sigmoid_residual_jacobian(p, tau, V):
+def _sigmoid_residual(p, tau, V):
+    """Residuals of the logistic at parameters p, and its logistic values s."""
     A, B, k, tau0 = p
     s = _expit(k * (tau - tau0))
-    r = A + B * s - V
+    return A + B * s - V, s
+
+
+def _sigmoid_jacobian(p, tau, s):
+    """d residual / d (A, B, k, tau0) from the logistic values s at p."""
+    _, B, k, tau0 = p
     ds = s * (1.0 - s)
-    J = np.column_stack([np.ones_like(tau), s, B * ds * (tau - tau0), -B * ds * k])
-    return r, J
+    return np.column_stack([np.ones_like(tau), s, B * ds * (tau - tau0), -B * ds * k])
 
 
 # `fit_sigmoid`'s Levenberg-Marquardt iteration limit and convergence tolerances
@@ -283,7 +288,8 @@ def fit_sigmoid(series: TumorSeries, norm_map: NormalizationMap) -> SigmoidFit:
         raise SigmoidFitError("constant-volume data: sigmoid amplitude is unidentifiable")
 
     p = np.array([V.min(), V.max() - V.min(), 10.0, 0.5])
-    r, J = _sigmoid_residual_jacobian(p, tau, V)
+    r, s = _sigmoid_residual(p, tau, V)
+    J = _sigmoid_jacobian(p, tau, s)
     sse = float(r @ r)
     lam = 1e-3
     converged = False
@@ -304,10 +310,10 @@ def fit_sigmoid(series: TumorSeries, norm_map: NormalizationMap) -> SigmoidFit:
                 lam *= 10.0
                 continue
             p_new = p + step
-            r_new, J_new = _sigmoid_residual_jacobian(p_new, tau, V)
+            r_new, s = _sigmoid_residual(p_new, tau, V)
             sse_new = float(r_new @ r_new)
-            if sse_new < sse:
-                p, r, J, sse = p_new, r_new, J_new, sse_new
+            if sse_new < sse:  # only an accepted trial needs its Jacobian
+                p, r, J, sse = p_new, r_new, _sigmoid_jacobian(p_new, tau, s), sse_new
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 break

@@ -11,10 +11,12 @@ Each class states its variant's facts once: its name (`variant`), the
 floor of a starting state (`floor`) and, for the two network variants that
 train and have checkpoints, their networks (`nets`), shared `arch`, and
 f, df/dv and output cotangents in terms of the networks' outputs. The
-networks of a model always run as one stack, in one `mlp_batch` pass, and
-their outputs are indexed on the leading axis, so one formula serves a
-list of floats and an (n_nets, ...) array: each stage of a float solve is
-one pass on the bare state and plain Python arithmetic on its outputs.
+networks of a model always run as one stack, through the one forward pass
+(`neuralnet.mlp_pass`), and their outputs are indexed on the leading axis,
+so one formula serves a list of floats and an (n_nets, ...) array. A solve
+builds its networks' pass once (`_make_rhs`) and runs every RK4 stage in
+that pass's hidden-layer arrays: each stage of a float solve is one run on
+the bare state and plain Python arithmetic on its outputs.
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
@@ -55,6 +57,7 @@ from .neuralnet import (
     init_params_from_stream,
     mlp_batch,
     mlp_input_derivative,
+    mlp_pass,
     mlp_vjp,
     params_from_blob,
     params_to_blob,
@@ -285,8 +288,10 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     bare state and Python-float arithmetic on its outputs. A stack of B vectors
     (B, n_params) gives the right-hand sides of B members at once, mapping
     (B,) states to (B,) values, each bitwise what the member's own float f
-    gives. `clamp_counter`, a one-element list, enables the state floor for
-    Gompertz solves and counts how often it fires.
+    gives. Either f runs every call in the hidden-layer arrays of one pass
+    built here, so an f serves one solve at a time. `clamp_counter`, a
+    one-element list, enables the state floor for Gompertz solves and counts
+    how often it fires.
     """
     if isinstance(model, GompertzModel):
         p, floor = model.params, model.floor
@@ -302,12 +307,14 @@ def _make_rhs(model: DynamicsModel, theta=None, clamp_counter=None):
     thetas = model_theta(model) if theta is None else theta
     lead = thetas.shape[:-1]
     layers, f_from_outputs = _networks(model, thetas), model.f_from_outputs
+    run, _ = mlp_pass(layers, (*lead, 1, 1, 1) if lead else ())
     if not lead:
-        return lambda v: f_from_outputs(mlp_batch(layers, v)[0].ravel().tolist(), v)
+        return lambda v: f_from_outputs(run(v).ravel().tolist(), v)
 
     def f(v):
-        # one row per member, broadcast over its networks
-        return f_from_outputs(mlp_batch(layers, v.reshape(*lead, 1, 1, 1))[0][..., 0, 0].T, v)
+        # one row per member, broadcast over its networks; the outputs are
+        # new at every stage, so the f values they give may be kept
+        return f_from_outputs(run(v.reshape(*lead, 1, 1, 1))[..., 0, 0].T, v)
 
     return f
 

@@ -3,16 +3,20 @@
 Parameters live in one flat vector per network (weights then bias for each
 consecutive layer pair, in order), initialization is Glorot-uniform drawn
 from a seeded xoshiro256** stream so runs are bit-reproducible, and updates
-use a plain full-batch Adam. One forward pass, `mlp_batch`, evaluates a
-network on every row of an input batch; a layer of input width 1 is an
-outer product, a broadcast multiply with the bits of the one-term matmul,
-so one input state may be a Python float. Its layers come from
-`unpack_layers`, which also takes parameter vectors stacked on leading
-axes: networks of one architecture then run as one stack, each with the
-bits of its own pass. The derivative of a pass with respect to the first
-input (`mlp_input_derivative`) and the vector-Jacobian product with
-respect to the parameters (`mlp_vjp`) reuse that pass's activations, and
-the VJP reuses the tanh slopes the derivative computed.
+use a plain full-batch Adam. One forward pass evaluates a network on
+every row of an input batch: `mlp_pass` builds it for one input shape,
+allocating each hidden layer's array once, and every run of it writes
+into those arrays, so a solve that evaluates its networks at every RK4
+stage builds it once; `mlp_batch` builds and runs it for one input. A
+layer of input width 1 is an outer product, a broadcast multiply with the
+bits of the one-term matmul, so one input state may be a Python float.
+Its layers come from `unpack_layers`, which also takes parameter vectors
+stacked on leading axes: networks of one architecture then run as one
+stack, each with the bits of its own pass. The derivative of a pass with
+respect to the first input (`mlp_input_derivative`) and the
+vector-Jacobian product with respect to the parameters (`mlp_vjp`) reuse
+that pass's activations, and the VJP reuses the tanh slopes the
+derivative computed.
 Losses built on these supply their own exact gradient to `value_and_grad`.
 """
 
@@ -34,6 +38,7 @@ __all__ = [
     "init_params",
     "init_params_from_stream",
     "unpack_layers",
+    "mlp_pass",
     "mlp_batch",
     "mlp_input_derivative",
     "mlp_vjp",
@@ -225,26 +230,50 @@ def unpack_layers(arch: MLPArch, thetas: np.ndarray):
     return layers
 
 
-def mlp_batch(layers, X: np.ndarray | float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Evaluate the networks on every row of X (..., N, in_width) in one pass.
+def mlp_pass(layers, shape: tuple[int, ...]):
+    """The networks' forward pass on inputs X (..., N, in_width) of `shape`.
 
-    Affine + tanh per hidden layer, affine only on the output layer; the
-    leading axes of X and of the layers broadcast. Returns the outputs
-    (..., N, out_width) and the input of every layer (X, then each hidden
-    activation), which `mlp_input_derivative` and `mlp_vjp` take back.
-    Here and in those two, arithmetic on (..., N, width) arrays is done in
-    place, so a pass holds few such temporaries at once. A first layer of
-    input width 1 is the outer product X * W^T, which has the bits of the
-    one-term matmul, so X may be one state as a Python float; the outputs
-    are then (..., 1, out_width).
+    Returns (run, hidden): `hidden` holds one array per hidden layer,
+    allocated here once, and run(X) writes each hidden layer's product, bias
+    add and tanh into its array, then returns the output layer's affine map
+    (..., N, out_width), a new array on every run. The leading axes of X and
+    of the layers broadcast. A first layer of input width 1 is the outer
+    product X * W^T, which has the bits of the one-term matmul, so X may be
+    one state as a Python float (shape ()); the outputs are then
+    (..., 1, out_width). Each run overwrites the last run's activations.
     """
-    acts = [X]
-    for i, (WT, b) in enumerate(layers):
-        z = X * WT if i == 0 and WT.shape[-2] == 1 else np.matmul(acts[-1], WT)
-        z += b
-        if i < len(layers) - 1:
-            acts.append(np.tanh(z, out=z))
-    return z, acts
+    ops = [np.multiply if layers[0][0].shape[-2] == 1 else np.matmul] + [np.matmul] * (len(layers) - 1)
+    plan = []
+    for op, (WT, b) in zip(ops, layers[:-1]):
+        if op is np.multiply:
+            shape = np.broadcast_shapes(shape, WT.shape)
+        else:
+            shape = (*np.broadcast_shapes(shape[:-2], WT.shape[:-2]), shape[-2], WT.shape[-1])
+        plan.append((op, WT, b, np.empty(shape)))
+    out_op, (out_WT, out_b) = ops[-1], layers[-1]
+
+    def run(X):
+        # ufunc outputs passed by position: a keyword costs more per call
+        for op, WT, b, h in plan:
+            X = op(X, WT, h)
+            np.add(X, b, X)
+            np.tanh(X, X)
+        z = out_op(X, out_WT)
+        z += out_b
+        return z
+
+    return run, [h for *_, h in plan]
+
+
+def mlp_batch(layers, X: np.ndarray | float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Evaluate the networks on every row of X in one pass, built for X
+    alone (`mlp_pass`). Returns the outputs and the input of every layer (X,
+    then each hidden activation), which `mlp_input_derivative` and `mlp_vjp`
+    take back. Here and in those two, arithmetic on (..., N, width) arrays
+    is done in place, so a pass holds few such temporaries at once.
+    """
+    run, hidden = mlp_pass(layers, np.shape(X))
+    return run(X), [X, *hidden]
 
 
 def mlp_input_derivative(layers, acts) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -15,6 +15,7 @@ Basis indices are 1-based throughout, matching the phi numbering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -115,6 +116,15 @@ def default_lambda(Phi: np.ndarray, y: np.ndarray) -> float:
     return 1e-3 * float(np.max(np.abs((Phi / norms).T @ y))) / Phi.shape[0]
 
 
+@functools.cache
+def _sign_patterns(k: int) -> np.ndarray:
+    """Every sign vector of length k, (2^k, k), +1 before -1 in each place;
+    read-only, so every call shares one array."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+    signs.flags.writeable = False
+    return signs
+
+
 def sparse_regress(
     Phi: np.ndarray,
     y: np.ndarray,
@@ -167,14 +177,16 @@ def sparse_regress(
             U, sv, Vt = np.linalg.svd(XS, full_matrices=False)
             if sv[-1] <= sv[0] * n * np.finfo(float).eps:  # dependent columns
                 continue
-            signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(S))))
+            signs = _sign_patterns(len(S))
             # (X_S^T X_S)^-1 (X_S^T y - (lam/2) s) through the SVD, whose
             # error grows with the condition of X_S, not of its Gram matrix
             coords = ((U.T @ ys) / sv)[:, None] - 0.5 * lam_s * (Vt @ signs.T) / sv[:, None] ** 2
-            for bS, s in zip((Vt.T @ coords).T, signs):
+            candidates = (Vt.T @ coords).T  # row j solves for sign vector signs[j]
+            for j in np.flatnonzero((np.sign(candidates) == signs).all(axis=1)):
+                bS = candidates[j]
                 r = XS @ bS - ys
                 objective = float(r @ r) + lam_s * float(np.sum(np.abs(bS)))
-                if np.array_equal(np.sign(bS), s) and objective < best:
+                if objective < best:
                     best, b = objective, np.zeros(p)
                     b[list(S)] = bS
 

@@ -42,10 +42,19 @@ def assert_same_error(got, want):
     assert type(got) is type(want) and str(got) == str(want)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_member_solve_equals_reference_per_point_solves(variant):
-    """The stacked right-hand side against one network call per stage."""
-    model = init_model(variant, config())
+@pytest.mark.parametrize(
+    "variant, hidden",
+    # the (5, 4) cases keep the bare variant as their id
+    [
+        pytest.param(variant, hidden, id=f"{label}{variant}")
+        for label, hidden in [("", (5, 4)), ("no-hidden-", ()), ("default-", None)]
+        for variant in VARIANTS
+    ],
+)
+def test_member_solve_equals_reference_per_point_solves(variant, hidden):
+    """The stacked right-hand side against one network call per stage, with
+    narrow layers, no hidden layer and the variant's default widths (None)."""
+    model = init_model(variant, replace(config(), hidden=hidden))
     rng = np.random.default_rng(3)
     thetas = [model_theta(model) + 0.1 * rng.standard_normal(model_theta(model).size) for _ in range(3)]
     spans, v0 = [(0.0, 0.6), (0.1, 0.9), (0.0, 1.0)], [0.05, 0.2, 0.1]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -187,6 +188,28 @@ class TestSparseRegress:
         fit = sparse_regress(Phi, y, threshold_rel=0.0)
         assert_kkt(Phi, y, fit)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_reference_enumeration(self, seed):
+        # noisy basis designs (the basis is aliased: phi3 = phi1 - phi4 / K),
+        # the same with two identical columns, and Gaussian designs of other
+        # widths, each at lam = 0, the default lam and multiples of it
+        rng = np.random.default_rng(900 + seed)
+        width = 10.0 ** rng.uniform(-0.7, 3.0)
+        lo = rng.uniform(20.0, 1190.0 - width)
+        Phi = BASIS.evaluate(np.linspace(lo, lo + width, 101))
+        if seed % 4 == 1:
+            Phi[:, 2] = Phi[:, 1]
+        elif seed % 4 == 2:
+            Phi = rng.standard_normal((30, 1 + seed % 6))
+        beta = rng.standard_normal(Phi.shape[1]) * rng.integers(0, 2, Phi.shape[1])
+        y = Phi @ beta + 0.01 * (1.0 + np.std(Phi @ beta)) * rng.standard_normal(Phi.shape[0])
+        lam0 = default_lambda(Phi, y)
+        for lam in [0.0, None, 0.1 * lam0, 30.0 * lam0, 1e4 * lam0]:
+            got, want = sparse_regress(Phi, y, lam), reference_sparse_regress(Phi, y, lam)
+            assert got.beta.tobytes() == want.beta.tobytes()
+            assert got.active_set == want.active_set
+            assert got.residual_norm.hex() == want.residual_norm.hex()
+
     def test_tie_goes_to_the_lower_index(self):
         # columns 2 and 3 are identical, so every split of their weight has
         # the same objective; the tie rule puts it all on column 2
@@ -197,6 +220,43 @@ class TestSparseRegress:
         assert first.beta[1] != 0.0
         assert first.beta[2] == 0.0
         assert first.beta.tobytes() == second.beta.tobytes()
+
+
+def reference_sparse_regress(Phi, y, lam=None, threshold_rel=1e-3):
+    """The plain enumeration: every (support, sign) candidate is scored, then
+    kept only if its signs match. The oracle for the bits of `sparse_regress`,
+    which tests sign consistency first and scores only what it keeps."""
+    n, p = Phi.shape
+    lam = default_lambda(Phi, y) if lam is None else lam
+    norms = np.linalg.norm(Phi, axis=0)
+    norms[norms == 0] = 1.0
+    X = Phi / norms
+    y_scale = float(np.max(np.abs(y))) or 1.0
+    ys = y / y_scale
+    lam_s = lam / y_scale
+    if lam_s == 0:
+        b = np.linalg.lstsq(X, ys, rcond=None)[0]
+    else:
+        best, b = float(ys @ ys), np.zeros(p)
+        for S in (S for k in range(1, p + 1) for S in itertools.combinations(range(p), k)):
+            XS = X[:, S]
+            U, sv, Vt = np.linalg.svd(XS, full_matrices=False)
+            if sv[-1] <= sv[0] * n * np.finfo(float).eps:
+                continue
+            signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(S))))
+            coords = ((U.T @ ys) / sv)[:, None] - 0.5 * lam_s * (Vt @ signs.T) / sv[:, None] ** 2
+            for bS, s in zip((Vt.T @ coords).T, signs):
+                r = XS @ bS - ys
+                objective = float(r @ r) + lam_s * float(np.sum(np.abs(bS)))
+                if np.array_equal(np.sign(bS), s) and objective < best:
+                    best, b = objective, np.zeros(p)
+                    b[list(S)] = bS
+    beta = b * y_scale / norms
+    peak = np.max(np.abs(beta))
+    if peak > 0:
+        beta[np.abs(beta) < threshold_rel * peak] = 0.0
+    active = tuple(int(i) + 1 for i in np.nonzero(beta)[0])
+    return SparseFit(beta=beta, active_set=active, residual_norm=float(np.linalg.norm(Phi @ beta - y)), lam=lam)
 
 
 def assert_kkt(Phi, y, fit):
