@@ -106,10 +106,6 @@ def _cell_parts(config: RunConfig, data) -> list:
     return [split(data, SplitSpec(fraction))[0] for fraction in sorted(config.fractions)]
 
 
-def _train_config(config: RunConfig, variant: str):
-    return config.node_config() if variant == "neural_ode" else config.ude_config()
-
-
 def _train_members(config: RunConfig, variant: str, jobs) -> list[tuple[list, float]]:
     """Train every dataset of every job as one `models.train_batch`.
 
@@ -121,7 +117,8 @@ def _train_members(config: RunConfig, variant: str, jobs) -> list[tuple[list, fl
     datasets = [data for job in jobs for data in job]
     start = time.perf_counter()
     try:
-        outcomes = models.train_batch(variant, datasets, _train_config(config, variant))
+        train_config = config.node_config() if variant == "neural_ode" else config.ude_config()
+        outcomes = models.train_batch(variant, datasets, train_config)
     except Exception as exc:  # noqa: BLE001 - a batch-wide failure fails each member
         outcomes = [exc] * len(datasets)
     seconds = time.perf_counter() - start

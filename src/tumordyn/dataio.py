@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .neuralnet import as_int
+
 __all__ = [
     "TumorSeries",
     "NormalizationMap",
@@ -348,8 +350,9 @@ def fit_sigmoid(series: TumorSeries, norm_map: NormalizationMap) -> SigmoidFit:
 
 def sample_interpolant(fit: SigmoidFit, n: int) -> list[tuple[float, float]]:
     """n (tau, volume) samples uniform over tau in [0, 1], volume in mm^3."""
+    n = as_int(n, "n")
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    taus = np.linspace(0.0, 1.0, int(n))
+    taus = np.linspace(0.0, 1.0, n)
     values = fit.value(taus)
     return [(float(t), float(v)) for t, v in zip(taus, values)]

@@ -223,10 +223,6 @@ class TrainConfig:
         if self.solver_steps < 1:
             raise ValueError(f"solver_steps must be >= 1, got {self.solver_steps}")
 
-    @property
-    def total_epochs(self) -> int:
-        return sum(ep for _, ep in self.schedule)
-
     @classmethod
     def neural_ode_defaults(cls, **overrides) -> "TrainConfig":
         base = dict(schedule=DEFAULT_NEURAL_ODE_SCHEDULE, seed=123, hidden=DEFAULT_NEURAL_ODE_HIDDEN)

@@ -46,7 +46,6 @@ __all__ = [
     "adam_update",
     "params_to_blob",
     "params_from_blob",
-    "floats_from_hex",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -350,6 +349,7 @@ def adam_update(theta: np.ndarray, g: np.ndarray, state: AdamState) -> tuple[np.
 # round-trips bit-exactly:
 #   {"format": "tumordyn-mlp-v1", "layer_widths": [...],
 #    "seed": <int or null>, "theta_hex": ["0x1.5p+3", ...]}
+# `params_from_blob`, the one decoder, checks every field and every weight.
 
 
 def params_to_blob(params: MLPParams, seed=None) -> dict:
@@ -361,21 +361,6 @@ def params_to_blob(params: MLPParams, seed=None) -> dict:
     }
 
 
-def floats_from_hex(items) -> np.ndarray:
-    """Finite floats from a list of float.hex() strings; ValueError otherwise."""
-    if not isinstance(items, list):
-        raise ValueError("expected a list of float.hex() strings")
-    try:
-        values = np.fromiter(map(float.fromhex, items), float, len(items))
-    except TypeError:  # an entry that is not a string
-        raise ValueError("expected a list of float.hex() strings") from None
-    except OverflowError:
-        raise ValueError("a float.hex() value is out of range") from None
-    if not np.all(np.isfinite(values)):
-        raise ValueError("checkpoint values must be finite")
-    return values
-
-
 def params_from_blob(blob) -> MLPParams:
     """Inverse of `params_to_blob`; raises ValueError for anything else."""
     if not isinstance(blob, dict) or blob.get("format") != "tumordyn-mlp-v1":
@@ -383,5 +368,16 @@ def params_from_blob(blob) -> MLPParams:
     widths = blob.get("layer_widths")
     if not (isinstance(widths, list) and all(type(w) is int for w in widths)):
         raise ValueError(f"layer_widths must be a list of integers, got {widths!r}")
-    return MLPParams(MLPArch(tuple(widths)), floats_from_hex(blob.get("theta_hex")))
-
+    arch = MLPArch(tuple(widths))
+    items = blob.get("theta_hex")
+    if not isinstance(items, list):
+        raise ValueError("expected a list of float.hex() strings")
+    try:
+        theta = np.fromiter(map(float.fromhex, items), float, len(items))
+    except TypeError:  # an entry that is not a string
+        raise ValueError("expected a list of float.hex() strings") from None
+    except OverflowError:
+        raise ValueError("a float.hex() value is out of range") from None
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("checkpoint values must be finite")
+    return MLPParams(arch, theta)

@@ -1,11 +1,11 @@
 """Fixed-step explicit ODE integration for scalar dynamics.
 
-Every growth law here is autonomous, dv/dt = f(v). One RK4 kernel
-(`rk4_states`) serves every solve: the standalone solver and the training
-loss both step through it, and it can record every stage's input state so
-`rk4_adjoint` can later sweep back through the same discrete steps. That
-sweep is exact for the discrete solve ("discretise-then-optimise"), not
-an approximation of a continuous adjoint.
+Every growth law here is autonomous, dv/dt = f(v). One function,
+`rk4_states`, holds the RK4 step and serves every solve: the standalone
+solver and the training loss both step through it, and it can record
+every stage's input state so `rk4_adjoint` can later sweep back through
+the same discrete steps. That sweep is exact for the discrete solve
+("discretise-then-optimise"), not an approximation of a continuous adjoint.
 The kernel steps either one float state or a vector of independent member
 states at once, each member on its own grid; every member's states are
 bitwise those of its own float solve, because the RK4 arithmetic is
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuralnet import as_positive
+from .neuralnet import as_int, as_positive
 
 __all__ = [
     "GompertzParams",
@@ -30,7 +30,6 @@ __all__ = [
     "DivergenceError",
     "gompertz_rhs",
     "gompertz_exact",
-    "rk4_step",
     "rk4_states",
     "rk4_adjoint",
     "solve_fixed_grid",
@@ -72,10 +71,6 @@ class Trajectory:
         if not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory states must be finite")
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
-
 
 class DivergenceError(ArithmeticError):
     """Raised when the integrated state turns non-finite.
@@ -106,27 +101,8 @@ def gompertz_exact(t, V0: float, p: GompertzParams):
     return p.K * np.exp(np.log(V0 / p.K) * np.exp(-p.a * np.asarray(t, dtype=float)))
 
 
-def rk4_step(f, y, h, stages=None):
-    """One classical 4th-order Runge-Kutta step for dy/dt = f(y).
-
-    If `stages` is a list, the input state of each of the four stages is
-    appended to it, in stage order.
-    """
-    half = 0.5 * h
-    k1 = f(y)
-    y2 = y + half * k1
-    k2 = f(y2)
-    y3 = y + half * k2
-    k3 = f(y3)
-    y4 = y + h * k3
-    k4 = f(y4)
-    if stages is not None:
-        stages.extend((y, y2, y3, y4))
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_states(f, v0, times, h, stages=None) -> list:
-    """States at `times` (uniformly spaced by h) of dv/dt = f(v) from v0.
+    """Classical RK4 states at `times` (spaced by h) of dv/dt = f(v) from v0.
 
     A float v0 gives one solve and a list of float states. A (B,) array v0
     gives B member solves stepped together: member b starts at v0[b] and
@@ -136,15 +112,25 @@ def rk4_states(f, v0, times, h, stages=None) -> list:
 
     Raises DivergenceError, with its time from `times`, at the first
     non-finite state; in a member solve it names the lowest-numbered member
-    that turned non-finite at that step. `stages` is passed on to
-    `rk4_step`, so it collects 4 stage states per step.
+    that turned non-finite at that step. If `stages` is a list, each step
+    appends the input states of its four stages to it, in stage order.
     """
     times = np.asarray(times, dtype=float)
     scalar = np.ndim(v0) == 0
     v = float(v0) if scalar else np.asarray(v0, dtype=float)
+    half = 0.5 * h
     states = [v]
     for i in range(1, len(times)):
-        v = rk4_step(f, v, h, stages)
+        k1 = f(v)
+        v2 = v + half * k1
+        k2 = f(v2)
+        v3 = v + half * k2
+        k3 = f(v3)
+        v4 = v + h * k3
+        k4 = f(v4)
+        if stages is not None:
+            stages.extend((v, v2, v3, v4))
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if scalar:
             if not math.isfinite(v):
                 raise DivergenceError(step=i, t=float(times[i]))
@@ -192,10 +178,10 @@ def rk4_adjoint(state_cotangents, stage_jacobians, h: float) -> np.ndarray:
 
 def solve_fixed_grid(f, v0: float, t0: float, t1: float, n_steps: int) -> Trajectory:
     """Integrate dv/dt = f(v) over [t0, t1] with n_steps RK4 steps."""
-    if int(n_steps) != n_steps or n_steps < 1:
+    n_steps = as_int(n_steps, "n_steps")
+    if n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    n_steps = int(n_steps)
     times = np.linspace(t0, t1, n_steps + 1)
     return Trajectory(times, rk4_states(f, v0, times, (t1 - t0) / n_steps))

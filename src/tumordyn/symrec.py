@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import NormalizationMap
 from .models import DynamicsModel, rhs, solve
-from .neuralnet import as_positive
+from .neuralnet import as_int, as_positive
 
 __all__ = [
     "BasisSet",
@@ -92,10 +92,11 @@ def sample_physical_derivatives(
     model derivative, all n in one batched evaluation, are denormalized
     with dV/dt = (v_scale / t_scale) * dv/dtau and V = v_min + v * v_scale.
     """
+    n = as_int(n, "n")
     if n < 10:
         raise ValueError(f"need at least 10 samples for a stable regression, got {n}")
-    trajectory = solve(model, v0, (0.0, 1.0), solver_steps)
-    taus = np.linspace(0.0, 1.0, int(n))
+    trajectory = solve(model, v0, (0.0, 1.0), as_int(solver_steps, "solver_steps"))
+    taus = np.linspace(0.0, 1.0, n)
     v = np.interp(taus, trajectory.times, trajectory.states)
     dv = rhs(model, v)
     scale = norm_map.v_scale / norm_map.t_scale
@@ -237,8 +238,8 @@ def recover(
     basis: BasisSet,
     v0: float,
     *,
-    n_samples: int = 101,
-    solver_steps: int = 100,
+    n_samples: int,
+    solver_steps: int,
 ) -> tuple[SparseFit, str]:
     """Sample, regress at `default_lambda`, and format at 3 significant
     figures in one step; returns (fit, expression)."""

@@ -436,19 +436,41 @@ def subject_artifacts(out, sid) -> dict:
 
 class TestStageMajor:
     """run-all trains by variant across subjects; each subject's files are
-    those of its run alone."""
+    those of its run alone, in either cohort order and CSV row order."""
 
     def test_cohort_artifacts_equal_runs_alone(self, tmp_path, sample_csv):
         run_all(write_config(tmp_path, sample_csv, "both", [1, 2]))
+        run_all(write_config(tmp_path, sample_csv, "reversed", [2, 1]))
         for sid in (1, 2):
             run_all(write_config(tmp_path, sample_csv, f"alone_{sid}", [sid]))
             together = subject_artifacts(tmp_path / "both", sid)
             assert len(together) == 24
             assert together == subject_artifacts(tmp_path / f"alone_{sid}", sid)
+            assert together == subject_artifacts(tmp_path / "reversed", sid)
             timings = json.loads((tmp_path / "both" / f"subject_{sid}" / "timings.json").read_text())
             assert sorted(timings) == sorted(
                 ["interpolate", "gompertz", "train-node", "train-ude", "forecast", "recover-neural_ode", "recover-ude"]
             )
+
+    def test_data_row_order_changes_no_artifact(self, tmp_path, sample_csv):
+        lines = SAMPLE_CSV.splitlines()
+        rows = lines[2:]  # after the comment and the header; subject 1 first
+        # the two subjects interleave, and each one's times are out of order
+        shuffled = [rows[i] for i in (8, 3, 0, 11, 6, 5, 1, 9, 4, 7, 2, 10)]
+        shuffled_csv = tmp_path / "shuffled.csv"
+        shuffled_csv.write_text("\n".join(lines[:2] + shuffled) + "\n", encoding="utf-8")
+        run_all(write_config(tmp_path, sample_csv, "sorted", [1, 2]))
+        run_all(write_config(tmp_path, shuffled_csv, "shuffled", [1, 2]))
+        artifacts = [
+            {
+                str(p.relative_to(tmp_path / name)): p.read_bytes()
+                for p in sorted((tmp_path / name).rglob("*"))
+                if p.suffix in (".csv", ".json", ".svg") and p.name != "timings.json"
+            }
+            for name in ("sorted", "shuffled")
+        ]
+        assert len(artifacts[0]) == 50
+        assert artifacts[0] == artifacts[1]
 
     def test_diverging_ude_member_fails_only_its_own_output(self, tmp_path, sample_csv, monkeypatch):
         cfg = write_config(tmp_path, sample_csv, "probe", [1, 2])

@@ -230,6 +230,9 @@ class TestSampleInterpolant:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             sample_interpolant(self.FIT, 1)
+        for n in (2.9, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_interpolant(self.FIT, n)
 
     def test_csv_export(self, tmp_path):
         # the interpolant's table, as the `interpolate` stage writes it

@@ -63,7 +63,7 @@ class TestForecast:
     def test_forecast_spans_full_range(self):
         data, _, _ = make_collocation_data(21)
         result = forecast("neural_ode", data, SplitSpec(0.7), TINY)
-        assert result.trajectory.span == (0.0, 1.0)
+        assert (result.trajectory.times[0], result.trajectory.times[-1]) == (0.0, 1.0)
 
     def test_trained_variant_smoke(self):
         data, _, _ = make_collocation_data(11)

@@ -284,7 +284,7 @@ class TestTrain:
     def test_report_invariants(self):
         data, _, _ = make_collocation_data(11)
         _, report = train("ude", data, TINY)
-        assert len(report.loss_history) == TINY.total_epochs
+        assert len(report.loss_history) == sum(epochs for _, epochs in TINY.schedule)
         assert report.final_loss == report.loss_history[-1]
         assert report.best_loss == min(report.initial_loss, min(report.loss_history))
 

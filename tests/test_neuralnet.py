@@ -15,7 +15,6 @@ from tumordyn.neuralnet import (
     MLPParams,
     Xoshiro256StarStar,
     adam_update,
-    floats_from_hex,
     init_params,
     mlp_batch,
     mlp_input_derivative,
@@ -290,5 +289,3 @@ class TestCheckpoint:
         blob["theta_hex"][4] = entry
         with pytest.raises(ValueError, match="float.hex"):
             params_from_blob(blob)
-        with pytest.raises(ValueError, match="float.hex"):
-            floats_from_hex(["0x1p+0", entry])

@@ -93,8 +93,9 @@ class TestIntegrateRk4:
         assert err.value.step >= 1
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            solve_fixed_grid(lambda v: 0.0, 1.0, 0.0, 1.0, 0)
+        for n_steps in (0, 1.5, True, "3"):
+            with pytest.raises(ValueError, match="n_steps"):
+                solve_fixed_grid(lambda v: 0.0, 1.0, 0.0, 1.0, n_steps)
         with pytest.raises(ValueError):
             solve_fixed_grid(lambda v: 0.0, 1.0, 1.0, 0.0, 10)
 

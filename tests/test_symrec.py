@@ -51,6 +51,14 @@ class TestSamplePhysicalDerivatives:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 9, v0=0.05)
+        for n in (10.5, True):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, n, v0=0.05)
+        for steps in (True, 2.5):
+            with pytest.raises(ValueError, match="solver_steps must be an integer"):
+                sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 10, v0=0.05, solver_steps=steps)
+        with pytest.raises(ValueError):
+            sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 10, v0=0.05, solver_steps=0)
 
 
 class TestDesignMatrix:
@@ -311,7 +319,7 @@ class TestFormatExpression:
 
 class TestRecoverDriver:
     def test_end_to_end_on_gompertz(self):
-        fit, expression = recover(NORM_MODEL, MAP_10_DAYS, BASIS, v0=50.0 / 1200.0)
+        fit, expression = recover(NORM_MODEL, MAP_10_DAYS, BASIS, v0=50.0 / 1200.0, n_samples=101, solver_steps=100)
         assert expression.startswith("dV/dt ≈ ")
         assert "V*log(1200/V)" in expression
         assert fit.beta.shape == (4,)
