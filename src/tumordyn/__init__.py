@@ -9,7 +9,6 @@ from .dataio import (
     load_series,
     make_norm_map,
     sample_interpolant,
-    volume_from_calipers,
 )
 from .forecast import ForecastResult, SplitSpec, forecast, split
 from .models import (

@@ -67,9 +67,9 @@ class RunConfig:
     data_path: str = "data/tumor_volumes.csv"
     subjects: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
     out_dir: str = "out"
-    seed: int = 123
+    seed: int = TrainConfig.seed
     n_collocation: int = 21
-    solver_steps: int = 100
+    solver_steps: int = TrainConfig.solver_steps
     gompertz_a: float = 0.3
     gompertz_K: float = 1200.0
     node_hidden: tuple[int, ...] = DEFAULT_NEURAL_ODE_HIDDEN

@@ -32,7 +32,6 @@ __all__ = [
     "CsvFormatError",
     "SubjectNotFoundError",
     "SigmoidFitError",
-    "volume_from_calipers",
     "load_series",
     "load_cohort",
     "make_norm_map",
@@ -83,9 +82,6 @@ class TumorSeries:
             raise ValueError("measurement times must be strictly increasing")
         if not np.all(volumes > 0):
             raise ValueError("volumes must be positive")
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 @dataclass(frozen=True)
@@ -147,18 +143,6 @@ class SigmoidFit:
 
     def value(self, tau):
         return self.A + self.B * _expit(self.k * (np.asarray(tau, dtype=float) - self.tau0))
-
-
-def volume_from_calipers(L: float, w: float) -> float:
-    """Ellipsoid caliper volume (pi/6) * w^2 * L in mm^3.
-
-    L is the largest and w the smallest tumor diameter, in mm.
-    """
-    if w < 0 or L < 0:
-        raise ValueError(f"caliper diameters must be non-negative, got L={L}, w={w}")
-    if L < w:
-        raise ValueError(f"expected L >= w, got L={L}, w={w}")
-    return (np.pi / 6.0) * w * w * L
 
 
 _HEADER = ["id", "time_days", "volume_mm3"]

@@ -123,7 +123,7 @@ class _NetworkModel:
 
     def __post_init__(self):
         for net in self.nets:
-            if net.arch.in_width != 1 or net.arch.out_width != 1:
+            if net.arch.layer_widths[0] != 1 or net.arch.layer_widths[-1] != 1:
                 raise ValueError(f"{self.variant} networks must map 1 -> 1, got {net.arch.layer_widths}")
         if any(net.arch != self.arch for net in self.nets):
             widths = " and ".join(str(net.arch.layer_widths) for net in self.nets)
@@ -225,13 +225,13 @@ class TrainConfig:
 
     @classmethod
     def neural_ode_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(schedule=DEFAULT_NEURAL_ODE_SCHEDULE, seed=123, hidden=DEFAULT_NEURAL_ODE_HIDDEN)
+        base = dict(schedule=DEFAULT_NEURAL_ODE_SCHEDULE, hidden=DEFAULT_NEURAL_ODE_HIDDEN)
         base.update(overrides)
         return cls(**base)
 
     @classmethod
     def ude_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(schedule=DEFAULT_UDE_SCHEDULE, seed=123, hidden=DEFAULT_UDE_HIDDEN)
+        base = dict(schedule=DEFAULT_UDE_SCHEDULE, hidden=DEFAULT_UDE_HIDDEN)
         base.update(overrides)
         return cls(**base)
 

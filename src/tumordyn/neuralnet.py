@@ -126,30 +126,9 @@ class MLPArch:
             raise ValueError(f"layer widths must be >= 1, got {widths}")
 
     @property
-    def in_width(self) -> int:
-        return self.layer_widths[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.layer_widths[-1]
-
-    @property
     def n_params(self) -> int:
         ws = self.layer_widths
         return sum((ws[i] + 1) * ws[i + 1] for i in range(len(ws) - 1))
-
-    def layout(self):
-        """(weight_start, weight_stop, bias_stop, (fan_out, fan_in)) per layer."""
-        spans = []
-        offset = 0
-        ws = self.layer_widths
-        for i in range(len(ws) - 1):
-            fi, fo = ws[i], ws[i + 1]
-            w_stop = offset + fo * fi
-            b_stop = w_stop + fo
-            spans.append((offset, w_stop, b_stop, (fo, fi)))
-            offset = b_stop
-        return spans
 
 
 @dataclass(frozen=True)
@@ -220,11 +199,13 @@ def unpack_layers(arch: MLPArch, thetas: np.ndarray):
     W^T enter only elementwise arithmetic, which has the same bits in any
     layout, so they are contiguous copies, on which that arithmetic is cheaper.
     """
-    lead = thetas.shape[:-1]
-    layers = []
-    for i, (w_start, w_stop, b_stop, (fo, fi)) in enumerate(arch.layout()):
-        WT = np.swapaxes(thetas[..., w_start:w_stop].reshape(*lead, fo, fi), -1, -2)
-        b = np.ascontiguousarray(thetas[..., None, w_stop:b_stop])
+    lead, ws = thetas.shape[:-1], arch.layer_widths
+    layers, start = [], 0
+    for i, (fi, fo) in enumerate(zip(ws, ws[1:])):
+        w_stop = start + fo * fi
+        WT = np.swapaxes(thetas[..., start:w_stop].reshape(*lead, fo, fi), -1, -2)
+        start = w_stop + fo
+        b = np.ascontiguousarray(thetas[..., None, w_stop:start])
         layers.append((np.ascontiguousarray(WT) if i == 0 and fi == 1 else WT, b))
     return layers
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import NormalizationMap
-from .models import DynamicsModel, rhs, solve
+from .models import DynamicsModel, TrainConfig, rhs, solve
 from .neuralnet import as_int, as_positive
 
 __all__ = [
@@ -83,7 +83,7 @@ def sample_physical_derivatives(
     n: int,
     v0: float,
     *,
-    solver_steps: int = 100,
+    solver_steps: int = TrainConfig.solver_steps,
 ) -> list[tuple[float, float]]:
     """(V mm^3, dV/dt mm^3/day) pairs along the model's solved trajectory.
 
@@ -95,7 +95,10 @@ def sample_physical_derivatives(
     n = as_int(n, "n")
     if n < 10:
         raise ValueError(f"need at least 10 samples for a stable regression, got {n}")
-    trajectory = solve(model, v0, (0.0, 1.0), as_int(solver_steps, "solver_steps"))
+    solver_steps = as_int(solver_steps, "solver_steps")
+    if solver_steps < 1:
+        raise ValueError(f"solver_steps must be >= 1, got {solver_steps}")
+    trajectory = solve(model, v0, (0.0, 1.0), solver_steps)
     taus = np.linspace(0.0, 1.0, n)
     v = np.interp(taus, trajectory.times, trajectory.states)
     dv = rhs(model, v)
@@ -214,15 +217,13 @@ def _significant(x: float, digits: int) -> str:
     return f"{rounded:.{max(decimals, 0)}f}"
 
 
-def format_expression(fit: SparseFit, basis: BasisSet, sig_figs: int = 3) -> str:
-    """Render the active terms as `dV/dt ≈ ...` in basis order."""
-    if sig_figs < 1:
-        raise ValueError(f"sig_figs must be >= 1, got {sig_figs}")
+def format_expression(fit: SparseFit, basis: BasisSet) -> str:
+    """Render the active terms as `dV/dt ≈ ...` in basis order, at 3 significant figures."""
     terms = basis.term_strings()
     parts = []
     for i in fit.active_set:
         c = fit.beta[i - 1]
-        c_str = _significant(c, sig_figs)
+        c_str = _significant(c, 3)
         if not parts:
             parts.append(("-" if c < 0 else "") + f"{c_str}*{terms[i - 1]}")
         else:

@@ -434,9 +434,53 @@ def subject_artifacts(out, sid) -> dict:
     }
 
 
+def run_artifacts(out) -> dict:
+    """Every deterministic artifact of a run, by path under `out`."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.suffix in (".csv", ".json", ".svg") and p.name != "timings.json"
+    }
+
+
+# the physical-time column of each table that has one
+TIME_COLUMNS = {"interpolant.csv": "time_days", "gompertz.csv": "t", "neural_ode_traj.csv": "t", "ude_traj.csv": "t"}
+
+
+def csv_column(blob: bytes, column: str) -> np.ndarray:
+    header, *rows = blob.decode().splitlines()
+    k = header.split(",").index(column)
+    return np.array([float(row.split(",")[k]) for row in rows])
+
+
+def json_leaves(x) -> list:
+    if isinstance(x, dict):
+        return [leaf for key in sorted(x) for leaf in json_leaves(x[key])]
+    if isinstance(x, list):
+        return [leaf for item in x for leaf in json_leaves(item)]
+    return [x]
+
+
+def table_cells(blob: bytes, name: str) -> list:
+    """The leaves of a JSON summary or the cells of a CSV table, in order,
+    each number as a float."""
+    if name.endswith(".json"):
+        items = json_leaves(json.loads(blob))
+    else:
+        items = [cell for row in blob.decode().splitlines() for cell in row.split(",")]
+    cells = []
+    for item in items:
+        try:
+            cells.append(item if isinstance(item, bool) else float(item))
+        except (TypeError, ValueError):  # None or text
+            cells.append(item)
+    return cells
+
+
 class TestStageMajor:
     """run-all trains by variant across subjects; each subject's files are
-    those of its run alone, in either cohort order and CSV row order."""
+    those of its run alone, in either cohort order and CSV row order, and a
+    new time origin moves only their physical times."""
 
     def test_cohort_artifacts_equal_runs_alone(self, tmp_path, sample_csv):
         run_all(write_config(tmp_path, sample_csv, "both", [1, 2]))
@@ -461,16 +505,38 @@ class TestStageMajor:
         shuffled_csv.write_text("\n".join(lines[:2] + shuffled) + "\n", encoding="utf-8")
         run_all(write_config(tmp_path, sample_csv, "sorted", [1, 2]))
         run_all(write_config(tmp_path, shuffled_csv, "shuffled", [1, 2]))
-        artifacts = [
-            {
-                str(p.relative_to(tmp_path / name)): p.read_bytes()
-                for p in sorted((tmp_path / name).rglob("*"))
-                if p.suffix in (".csv", ".json", ".svg") and p.name != "timings.json"
-            }
-            for name in ("sorted", "shuffled")
-        ]
+        artifacts = [run_artifacts(tmp_path / name) for name in ("sorted", "shuffled")]
         assert len(artifacts[0]) == 50
         assert artifacts[0] == artifacts[1]
+
+    def test_time_origin_moves_only_physical_time(self, tmp_path):
+        # every fit, forecast and recovered law is computed in normalized time
+        lines = SAMPLE_CSV.splitlines()
+
+        def run(c):
+            rows = [f"{i},{float(t) + c!r},{v}" for i, t, v in (row.split(",") for row in lines[2:])]
+            (tmp_path / f"{c}.csv").write_text("\n".join(lines[:2] + rows) + "\n")
+            run_all(write_config(tmp_path, tmp_path / f"{c}.csv", f"out_{c}", [1, 2]))
+            return run_artifacts(tmp_path / f"out_{c}")
+
+        base = run(0.0)
+        tables = [name for name in base if Path(name).name in TIME_COLUMNS]
+        untimed = [name for name in base if not name.endswith(".svg") and name not in tables]
+        assert (len(tables), len(untimed)) == (8, 26)
+        for c in (1000.0, 0.37):
+            shifted = run(c)
+            for name in tables:
+                column = TIME_COLUMNS[Path(name).name]
+                assert np.abs(csv_column(shifted[name], column) - csv_column(base[name], column) - c).max() <= 1e-9
+            if c == 1000.0:  # a shift of the integer times by 1000 is exact
+                assert [name for name in untimed if shifted[name] != base[name]] == []
+                continue
+            for name in untimed:
+                if not name.endswith(".ckpt.json"):
+                    ours, theirs = table_cells(base[name], name), table_cells(shifted[name], name)
+                    assert [type(x) for x in ours] == [type(x) for x in theirs], name
+                    for x, y in zip(ours, theirs):
+                        assert y == (pytest.approx(x, rel=1e-6, abs=0.0) if isinstance(x, float) else x), name
 
     def test_diverging_ude_member_fails_only_its_own_output(self, tmp_path, sample_csv, monkeypatch):
         cfg = write_config(tmp_path, sample_csv, "probe", [1, 2])

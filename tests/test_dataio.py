@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,36 +16,7 @@ from tumordyn.dataio import (
     load_series,
     make_norm_map,
     sample_interpolant,
-    volume_from_calipers,
 )
-
-
-class TestVolumeFromCalipers:
-    def test_unit_sphereish(self):
-        assert volume_from_calipers(1.0, 1.0) == pytest.approx(math.pi / 6, rel=1e-14)
-
-    def test_zero_width(self):
-        assert volume_from_calipers(5.0, 0.0) == 0.0
-
-    def test_two_by_one(self):
-        assert volume_from_calipers(2.0, 1.0) == pytest.approx(math.pi / 3, rel=1e-14)
-
-    def test_rejects_negative_and_swapped(self):
-        with pytest.raises(ValueError):
-            volume_from_calipers(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            volume_from_calipers(1.0, -0.5)
-        with pytest.raises(ValueError):
-            volume_from_calipers(1.0, 2.0)
-
-    def test_monotone_in_each_argument(self):
-        grid = [0.5, 1.0, 2.0, 4.0]
-        for w in grid:
-            values = [volume_from_calipers(L, w) for L in grid if L >= w]
-            assert values == sorted(values)
-        for L in [4.0, 8.0]:
-            values = [volume_from_calipers(L, w) for w in grid]
-            assert values == sorted(values)
 
 
 class TestTumorSeries:
@@ -110,7 +79,7 @@ class TestLoadSeries:
 
     def test_comments_ignored(self, sample_csv):
         s = load_series(sample_csv, 1)
-        assert len(s) == 6
+        assert s.times.size == 6
 
     def test_duplicate_time_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -57,8 +57,9 @@ class TestSamplePhysicalDerivatives:
         for steps in (True, 2.5):
             with pytest.raises(ValueError, match="solver_steps must be an integer"):
                 sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 10, v0=0.05, solver_steps=steps)
-        with pytest.raises(ValueError):
-            sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 10, v0=0.05, solver_steps=0)
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="solver_steps"):
+                sample_physical_derivatives(NORM_MODEL, MAP_10_DAYS, 10, v0=0.05, solver_steps=steps)
 
 
 class TestDesignMatrix:
@@ -295,26 +296,26 @@ class TestFormatExpression:
     def test_paper_style_pair(self):
         fit = SparseFit(beta=np.array([0.0, -7.88, 11.1, 0.0]), active_set=(2, 3), residual_norm=0.0, lam=0.0)
         assert (
-            format_expression(fit, BASIS, 3)
+            format_expression(fit, BASIS)
             == "dV/dt ≈ -7.88*V*log(1200/V) + 11.1*V*(1 - V/1200)"
         )
 
     def test_zero_fit(self):
         fit = SparseFit(beta=np.zeros(4), active_set=(), residual_norm=0.0, lam=0.0)
-        assert format_expression(fit, BASIS, 3) == "dV/dt ≈ 0"
+        assert format_expression(fit, BASIS) == "dV/dt ≈ 0"
 
     def test_single_linear_term_pads_digits(self):
         fit = SparseFit(beta=np.array([2.0, 0.0, 0.0, 0.0]), active_set=(1,), residual_norm=0.0, lam=0.0)
-        assert format_expression(fit, BASIS, 3) == "dV/dt ≈ 2.00*V"
+        assert format_expression(fit, BASIS) == "dV/dt ≈ 2.00*V"
 
     def test_quadratic_term_rendering(self):
         fit = SparseFit(beta=np.array([0.0, 0.0, 0.0, -0.5]), active_set=(4,), residual_norm=0.0, lam=0.0)
-        assert format_expression(fit, BASIS, 2) == "dV/dt ≈ -0.50*V^2"
+        assert format_expression(fit, BASIS) == "dV/dt ≈ -0.500*V^2"
 
     def test_non_integer_capacity(self):
         basis = BasisSet(K=900.5)
         fit = SparseFit(beta=np.array([0.0, 1.0, 0.0, 0.0]), active_set=(2,), residual_norm=0.0, lam=0.0)
-        assert "log(900.5/V)" in format_expression(fit, basis, 3)
+        assert "log(900.5/V)" in format_expression(fit, basis)
 
 
 class TestRecoverDriver:
