@@ -4,6 +4,8 @@ The split happens in normalized time on the collocation grid. A forecast is
 one continuous solve over the full span started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
+A cell trains on the RK4 grid its forecast is solved on, so its training
+loss is its forecast's error at its training points.
 Cells take one path: `cli._cell_parts` splits the series at each fraction,
 `models.train_batch` trains the training parts, and `score` solves and
 scores each fitted cell, raising its failure; `cli.stage_forecast` turns

@@ -20,7 +20,9 @@ the bare state and plain Python arithmetic on its outputs.
 
 Training minimizes the mean squared error between the RK4-solved
 trajectory, interpolated at the collocation times, and the normalized
-target volumes. Gradients are exact for the discrete solve: the float RK4
+target volumes. Every training solve steps one grid, `solver_steps` steps
+over tau in [0, 1], the grid forecasts, written trajectories and recovered
+laws are solved on. Gradients are exact for the discrete solve: the float RK4
 pass that computes the loss records the state entering every stage; one
 pass of the stacked networks over those states gives each stage's df/dv, a
 reverse sweep through the RK4 stages (`odeint.rk4_adjoint`) gives each
@@ -203,7 +205,7 @@ class TrainConfig:
 
     schedule: tuple[tuple[float, int], ...]
     seed: int = 123
-    solver_steps: int = 100
+    solver_steps: int = 20
     hidden: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -371,17 +373,21 @@ def solve(model: DynamicsModel, v0: float, tau_span: tuple[float, float], steps:
 
 @dataclass(frozen=True)
 class _Collocation:
-    """Checked collocation data and the RK4 grid that resolves it.
+    """Checked collocation data of one member: its points lie in tau in
+    [0, 1], the first at tau = 0, where the member's solve starts.
 
     Target j is compared with (1 - weights[j]) * state[index[j]] +
-    weights[j] * state[index[j] + 1] of the solve on `times`.
+    weights[j] * state[index[j] + 1] of the solve on the training grid.
     """
 
-    times: np.ndarray
-    h: float
     targets: list
     index: list
     weights: list
+
+
+def _training_grid(config: TrainConfig) -> np.ndarray:
+    """The RK4 grid of every training solve: `solver_steps` steps over tau in [0, 1]."""
+    return np.linspace(0.0, 1.0, config.solver_steps + 1)
 
 
 def _collocation(data, config: TrainConfig) -> _Collocation:
@@ -393,12 +399,13 @@ def _collocation(data, config: TrainConfig) -> _Collocation:
         raise ValueError("collocation points must be sorted by strictly increasing tau")
     if not (np.all(np.isfinite(taus)) and np.all(np.isfinite(values))):
         raise ValueError("collocation data must be finite")
-    n_steps = config.solver_steps
-    t0, t1 = taus[0], taus[-1]
-    times = np.linspace(t0, t1, n_steps + 1)
-    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, n_steps - 1)
+    if taus[0] != 0.0 or taus[-1] > 1.0:
+        span = f"[{float(taus[0])}, {float(taus[-1])}]"
+        raise ValueError(f"collocation points must start at tau = 0 and end by tau = 1, got {span}")
+    times = _training_grid(config)
+    idx = np.clip(np.searchsorted(times, taus, side="right") - 1, 0, config.solver_steps - 1)
     weights = [float((tau - times[j]) / (times[j + 1] - times[j])) for j, tau in zip(idx, taus)]
-    return _Collocation(times, float((t1 - t0) / n_steps), values.tolist(), idx.tolist(), weights)
+    return _Collocation(values.tolist(), idx.tolist(), weights)
 
 
 def _collocation_mse(states, grid: _Collocation):
@@ -411,33 +418,29 @@ def _collocation_mse(states, grid: _Collocation):
 
 
 class _CollocationLoss:
-    """Collocation losses of members that share one model structure.
+    """Collocation losses of members that share one model structure and config.
 
-    Member b solves the model with its own parameters against grids[b].
-    All members are one RK4 solve: a float solve for a single member, a
-    member solve (`odeint.rk4_states`) for several. It raises
-    DivergenceError exactly like the standalone solver, naming the member.
-    Called on one flat vector, a one-member loss gives its loss, and
-    `value_and_grad` also its exact gradient by the discrete adjoint
-    described in the module docstring.
+    Member b solves the model with its own parameters on the training grid
+    and is scored against grids[b]. All members are one RK4 solve: a float
+    solve for a single member, a member solve (`odeint.rk4_states`) for
+    several. It raises DivergenceError exactly like the standalone solver,
+    naming the member. Called on one flat vector, a one-member loss gives
+    its loss, and `value_and_grad` also its exact gradient by the discrete
+    adjoint described in the module docstring.
     """
 
-    def __init__(self, model: DynamicsModel, grids):
-        self.model = model
-        self.grids = list(grids)
+    def __init__(self, model: DynamicsModel, grids, config: TrainConfig):
+        self.model, self.grids = model, list(grids)
+        self.times, self.h = _training_grid(config), 1.0 / config.solver_steps
 
     def _solve(self, thetas, stages=None) -> list[list[float]]:
         """Each member's states at its parameters thetas[b]."""
         model, grids = self.model, self.grids
         if len(grids) == 1:
-            f = _make_rhs(model, thetas[0])
-            grid = grids[0]
-            return [rk4_states(f, initial_state(model, grid.targets[0]), grid.times, grid.h, stages)]
-        f = _make_rhs(model, np.stack(thetas))
+            v0 = initial_state(model, grids[0].targets[0])
+            return [rk4_states(_make_rhs(model, thetas[0]), v0, self.times, self.h, stages)]
         v0 = np.array([initial_state(model, grid.targets[0]) for grid in grids])
-        times = np.column_stack([grid.times for grid in grids])
-        h = np.array([grid.h for grid in grids])
-        return np.array(rk4_states(f, v0, times, h, stages)).T.tolist()
+        return np.array(rk4_states(_make_rhs(model, np.stack(thetas)), v0, self.times, self.h, stages)).T.tolist()
 
     def values(self, thetas) -> list[float]:
         """Each member's loss at its parameters thetas[b]."""
@@ -451,7 +454,7 @@ class _CollocationLoss:
         # a contiguous copy for every member: the bits of the weight gradient
         # in `mlp_vjp` depend on the memory layout of the stage states
         return [
-            _Linearization(self.model, grid, *_collocation_mse(states, grid), np.ascontiguousarray(recorded[:, b]))
+            _Linearization(self, grid, *_collocation_mse(states, grid), np.ascontiguousarray(recorded[:, b]))
             for b, (states, grid) in enumerate(zip(solved, self.grids))
         ]
 
@@ -463,34 +466,31 @@ class _CollocationLoss:
 
 
 class _Linearization:
-    """One member's recorded solve: its loss and stage states.
+    """One member's recorded solve by `loss`: its loss and stage states.
 
     `value_and_grad(theta)`, at the parameters the solve was made with,
     completes the exact gradient with the reverse sweep.
     """
 
-    def __init__(self, model, grid: _Collocation, value: float, residuals, stage_v):
-        self.model = model
-        self.grid = grid
-        self.value = value
-        self.residuals = residuals
-        self.stage_v = stage_v
+    def __init__(self, loss: _CollocationLoss, grid: _Collocation, value: float, residuals, stage_v):
+        self.loss, self.grid, self.value, self.residuals, self.stage_v = loss, grid, value, residuals, stage_v
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        grid = self.grid
+        grid, model = self.grid, self.loss.model
         g = (2.0 / len(self.residuals)) * np.array(self.residuals)
         w = np.array(grid.weights)
-        state_bar = np.zeros(len(grid.times))
+        state_bar = np.zeros(len(self.loss.times))
         np.add.at(state_bar, grid.index, (1.0 - w) * g)
         np.add.at(state_bar, np.array(grid.index) + 1, w * g)
-        _, jac, vjp = _rhs_linearization(self.model, _networks(self.model, theta), self.stage_v)
-        return self.value, vjp(rk4_adjoint(state_bar, jac, grid.h))
+        _, jac, vjp = _rhs_linearization(model, _networks(model, theta), self.stage_v)
+        return self.value, vjp(rk4_adjoint(state_bar, jac, self.loss.h))
 
 
 def make_loss_fn(model: DynamicsModel, data, config: TrainConfig) -> _CollocationLoss:
     """Loss as a function of the flat parameter vector, with its gradient
-    available through `neuralnet.value_and_grad`."""
-    return _CollocationLoss(_trainable(model), [_collocation(data, config)])
+    available through `neuralnet.value_and_grad`. The data's taus lie in
+    [0, 1], the first at tau = 0, and are solved on `_training_grid`."""
+    return _CollocationLoss(_trainable(model), [_collocation(data, config)], config)
 
 
 # --- parameter vector helpers ------------------------------------------
@@ -578,7 +578,7 @@ def train_batch(variant: str, datasets, config: TrainConfig) -> list:
         solve diverges fails with message(exc) and the rest are solved again."""
         while members:
             keys = list(members)
-            batch = _CollocationLoss(template, [members[i].grid for i in keys])
+            batch = _CollocationLoss(template, [members[i].grid for i in keys], config)
             try:
                 return dict(zip(keys, getattr(batch, method)([members[i].theta for i in keys])))
             except DivergenceError as exc:

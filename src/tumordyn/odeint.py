@@ -7,9 +7,8 @@ every stage's input state so `rk4_adjoint` can later sweep back through
 the same discrete steps. That sweep is exact for the discrete solve
 ("discretise-then-optimise"), not an approximation of a continuous adjoint.
 The kernel steps either one float state or a vector of independent member
-states at once, each member on its own grid; every member's states are
-bitwise those of its own float solve, because the RK4 arithmetic is
-elementwise.
+states at once, all on one grid; every member's states are bitwise those
+of its own float solve, because the RK4 arithmetic is elementwise.
 
 The Gompertz growth law and its closed-form solution live here too: the
 exact solution is the oracle every solver test is measured against.
@@ -75,9 +74,10 @@ class Trajectory:
 class DivergenceError(ArithmeticError):
     """Raised when the integrated state turns non-finite.
 
-    In a member solve (see `rk4_states`), `member` is the index of the
-    member whose state turned non-finite and `t` is that member's time; it
-    is None for a float solve. The message is the same either way.
+    `t` is the grid's time at that step. In a member solve (see
+    `rk4_states`), `member` is the index of the member whose state turned
+    non-finite; it is None for a float solve. The message is the same
+    either way.
     """
 
     def __init__(self, step: int, t: float, member: int | None = None):
@@ -105,10 +105,10 @@ def rk4_states(f, v0, times, h, stages=None) -> list:
     """Classical RK4 states at `times` (spaced by h) of dv/dt = f(v) from v0.
 
     A float v0 gives one solve and a list of float states. A (B,) array v0
-    gives B member solves stepped together: member b starts at v0[b] and
-    steps by h[b] along column b of `times` (n + 1, B), f maps (B,) states
-    to (B,) values, and each state is a (B,) array whose entry b is bitwise
-    what member b's own float solve gives.
+    gives B member solves stepped together on the same `times`: member b
+    starts at v0[b], f maps (B,) states to (B,) values, and each state is a
+    (B,) array whose entry b is bitwise what member b's own float solve
+    gives.
 
     Raises DivergenceError, with its time from `times`, at the first
     non-finite state; in a member solve it names the lowest-numbered member
@@ -131,12 +131,9 @@ def rk4_states(f, v0, times, h, stages=None) -> list:
         if stages is not None:
             stages.extend((v, v2, v3, v4))
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if scalar:
-            if not math.isfinite(v):
-                raise DivergenceError(step=i, t=float(times[i]))
-        elif not np.isfinite(v).all():
-            member = int(np.argmin(np.isfinite(v)))
-            raise DivergenceError(step=i, t=float(times[i, member]), member=member)
+        if not (math.isfinite(v) if scalar else np.isfinite(v).all()):
+            member = None if scalar else int(np.argmin(np.isfinite(v)))
+            raise DivergenceError(step=i, t=float(times[i]), member=member)
         states.append(v)
     return states
 

@@ -203,18 +203,14 @@ def sparse_regress(
     return SparseFit(beta=beta, active_set=active, residual_norm=residual, lam=float(lam))
 
 
-def _significant(x: float, digits: int) -> str:
-    """Positional rendering of |x| at `digits` significant figures,
-    keeping trailing zeros (2 -> '2.00' at 3 figures)."""
+def _significant(x: float) -> str:
+    """Positional rendering of |x| at 3 significant figures, keeping
+    trailing zeros (2 -> '2.00'); the decimals follow the rounded value
+    (9.996 -> '10.0')."""
     if x == 0:
-        return "0." + "0" * (digits - 1) if digits > 1 else "0"
-    magnitude = math.floor(math.log10(abs(x)))
-    decimals = digits - 1 - magnitude
-    rounded = round(abs(x), decimals)
-    if rounded != 0:  # rounding can bump the magnitude (9.99 -> 10.0)
-        magnitude = math.floor(math.log10(rounded))
-        decimals = digits - 1 - magnitude
-    return f"{rounded:.{max(decimals, 0)}f}"
+        return "0.00"
+    rounded = float(f"{abs(x):.3g}")
+    return f"{rounded:.{max(2 - math.floor(math.log10(rounded)), 0)}f}"
 
 
 def format_expression(fit: SparseFit, basis: BasisSet) -> str:
@@ -223,7 +219,7 @@ def format_expression(fit: SparseFit, basis: BasisSet) -> str:
     parts = []
     for i in fit.active_set:
         c = fit.beta[i - 1]
-        c_str = _significant(c, 3)
+        c_str = _significant(c)
         if not parts:
             parts.append(("-" if c < 0 else "") + f"{c_str}*{terms[i - 1]}")
         else:

@@ -57,10 +57,9 @@ def test_member_solve_equals_reference_per_point_solves(variant, hidden):
     model = init_model(variant, replace(config(), hidden=hidden))
     rng = np.random.default_rng(3)
     thetas = [model_theta(model) + 0.1 * rng.standard_normal(model_theta(model).size) for _ in range(3)]
-    spans, v0 = [(0.0, 0.6), (0.1, 0.9), (0.0, 1.0)], [0.05, 0.2, 0.1]
+    v0 = [0.05, 0.2, 0.1]
     n = 17
-    times = np.column_stack([np.linspace(a, b, n + 1) for a, b in spans])
-    h = np.array([(b - a) / n for a, b in spans])
+    times, h = np.linspace(0.0, 1.0, n + 1), 1.0 / n
     batched = np.array(rk4_states(models._make_rhs(model, np.stack(thetas)), np.array(v0), times, h))
     for b, theta in enumerate(thetas):
         nets = [unpack_layers(model.arch, part) for part in theta.reshape(len(model.nets), -1)]
@@ -69,7 +68,7 @@ def test_member_solve_equals_reference_per_point_solves(variant, hidden):
             y = [float(reference_forward(layers, np.array([v]))[0]) for layers in nets]
             return y[0] if variant == "neural_ode" else y[0] * v * y[1]
 
-        assert bits(batched[:, b]) == bits(rk4_states(f, v0[b], times[:, b], float(h[b])))
+        assert bits(batched[:, b]) == bits(rk4_states(f, v0[b], times, h))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -87,14 +86,29 @@ def test_member_solve_equals_reference_per_point_solves(variant, hidden):
 def test_batch_member_equals_solo_fit(variant, cfg):
     data, _, _ = make_collocation_data(21)
     other, _, _ = make_collocation_data(13)
-    # different spans, starts and target counts, so every member has its own grid
-    datasets = [data[:9], data[:15], other, data[2:]]
+    # different point counts, last points and initial values, all solved on
+    # the one grid
+    datasets = [data[:9], data[:15], other, [(t, 0.8 * v + 0.1) for t, v in data[:18]]]
     fits = train_batch(variant, datasets, cfg)
     for part, fit in zip(datasets, fits):
         alone = train(variant, part, cfg)
         assert_same_fit(fit, alone)
         got = solve(fit[0], part[0][1], (0.0, 1.0), 40).states
         assert bits(got) == bits(solve(alone[0], part[0][1], (0.0, 1.0), 40).states)
+
+
+def test_points_off_the_training_grid_fail_their_member():
+    # training solves every member over tau in [0, 1] from the first point
+    data, _, _ = make_collocation_data(21)
+    late = data[2:]
+    long = data + [(1.05, data[-1][1])]
+    fits = train_batch("ude", [data[:9], late, long], config())
+    assert_same_fit(fits[0], train("ude", data[:9], config()))
+    for part, fit, span in [(late, fits[1], "[0.1, 1.0]"), (long, fits[2], "[0.0, 1.05]")]:
+        with pytest.raises(ValueError, match="must start at tau = 0 and end by tau = 1") as err:
+            train("ude", part, config())
+        assert span in str(err.value)
+        assert_same_error(fit, err.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

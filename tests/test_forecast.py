@@ -88,6 +88,19 @@ class TestForecastSuite:
         assert isinstance(failed, ValueError) and "need at least 2 collocation points" in str(failed)
         assert math.isfinite(scored.test_mse)
 
+    @pytest.mark.parametrize("variant", ["neural_ode", "ude"])
+    def test_train_loss_is_the_forecast_error_at_training_points(self, variant):
+        # a cell trains on the grid its forecast is solved on, so its loss is
+        # the error of that forecast at the training points
+        data, _, _ = make_collocation_data(21)
+        cfg = TrainConfig(schedule=((0.01, 3),), seed=7, solver_steps=20, hidden=(3,))
+        fractions = [0.7, 0.8, 0.9]
+        for fraction, result in zip(fractions, forecast_cells(variant, data, fractions, cfg)):
+            train_part, _ = split(data, SplitSpec(fraction))
+            taus, values = np.array(train_part).T
+            predicted = np.interp(taus, result.trajectory.times, result.trajectory.states)
+            assert result.train_loss == pytest.approx(np.mean((predicted - values) ** 2), rel=1e-12, abs=0.0)
+
 
 class TestExports:
     """A cell's rows in the tables `cli.stage_forecast` writes."""
