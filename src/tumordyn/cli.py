@@ -46,7 +46,7 @@ from .config import RunConfig, load_config
 from .odeint import GompertzParams
 from .svgplot import PlotStyle, emit_plot
 
-__all__ = ["run_all", "main", "emit_plot"]
+__all__ = ["run_all", "main"]
 
 _CURVE_SAMPLES = 101  # dense grid for plotted curves
 
@@ -247,14 +247,11 @@ def stage_forecast(config: RunConfig, ctx: _SubjectContext, fits: dict) -> list[
 
 def stage_recover(config: RunConfig, ctx: _SubjectContext, variant: str, model) -> dict:
     basis = symrec.BasisSet(config.basis_K(ctx.subject_id))
-    fit, expression = symrec.recover(
-        model,
-        ctx.norm_map,
-        basis,
-        v0=ctx.data[0][1],
-        n_samples=config.recover_n_samples,
-        solver_steps=config.solver_steps,
+    samples = symrec.sample_physical_derivatives(
+        model, ctx.norm_map, config.recover_n_samples, ctx.data[0][1], solver_steps=config.solver_steps
     )
+    fit = symrec.sparse_regress(*symrec.build_design_matrix(samples, basis))
+    expression = symrec.format_expression(fit, basis)
     rows = enumerate(fit.beta, start=1)
     _write_csv(ctx.out_dir / f"recovered_{variant}.csv", ["basis_index", "coefficient"], rows)
     print(f"[subject {ctx.subject_id}] {variant}: {expression}")

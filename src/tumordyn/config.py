@@ -48,13 +48,7 @@ import numpy as np
 import yaml
 
 from .forecast import SplitSpec, split
-from .models import (
-    DEFAULT_NEURAL_ODE_HIDDEN,
-    DEFAULT_NEURAL_ODE_SCHEDULE,
-    DEFAULT_UDE_HIDDEN,
-    DEFAULT_UDE_SCHEDULE,
-    TrainConfig,
-)
+from .models import TrainConfig
 from .neuralnet import as_int, as_positive
 
 __all__ = ["RunConfig", "load_config"]
@@ -72,10 +66,10 @@ class RunConfig:
     solver_steps: int = TrainConfig.solver_steps
     gompertz_a: float = 0.3
     gompertz_K: float = 1200.0
-    node_hidden: tuple[int, ...] = DEFAULT_NEURAL_ODE_HIDDEN
-    node_schedule: tuple[tuple[float, int], ...] = DEFAULT_NEURAL_ODE_SCHEDULE
-    ude_hidden: tuple[int, ...] = DEFAULT_UDE_HIDDEN
-    ude_schedule: tuple[tuple[float, int], ...] = DEFAULT_UDE_SCHEDULE
+    node_hidden: tuple[int, ...] = TrainConfig.neural_ode_defaults().hidden
+    node_schedule: tuple[tuple[float, int], ...] = TrainConfig.neural_ode_defaults().schedule
+    ude_hidden: tuple[int, ...] = TrainConfig.ude_defaults().hidden
+    ude_schedule: tuple[tuple[float, int], ...] = TrainConfig.ude_defaults().schedule
     fractions: tuple[float, ...] = (0.9, 0.8, 0.7)
     recover_n_samples: int = 101
     basis_K_by_subject: dict[int, float] = field(default_factory=dict)

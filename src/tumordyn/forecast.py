@@ -1,7 +1,7 @@
 """Train on a leading fraction of the series and forecast the remainder.
 
 The split happens in normalized time on the collocation grid. A forecast is
-one continuous solve over the full span started from the training initial
+one continuous solve over tau in [0, 1] started from the training initial
 condition, so the predicted curve is C0-continuous across the split by
 construction; the held-out error is the normalized MSE on the test points.
 A cell trains on the RK4 grid its forecast is solved on, so its training
@@ -68,14 +68,14 @@ def split(data, spec: SplitSpec):
 
 
 def score(data, fraction: float, fit, solver_steps: int) -> ForecastResult:
-    """Solve a fitted cell across the full span and score its test points.
+    """Solve a fitted cell over tau in [0, 1] and score its test points.
 
     `fit` is the (model, report) pair trained on the cell's training part;
-    the solve starts from that part's first point.
+    the solve starts from the series' first point, on the training grid.
     """
-    train_part, test_part = split(data, SplitSpec(train_fraction=fraction))
+    _, test_part = split(data, SplitSpec(train_fraction=fraction))
     model, report = fit
-    trajectory = solve(model, train_part[0][1], (data[0][0], data[-1][0]), solver_steps)
+    trajectory = solve(model, data[0][1], (0.0, 1.0), solver_steps)
     test_taus = np.array([t for t, _ in test_part])
     test_values = np.array([v for _, v in test_part])
     predicted = np.interp(test_taus, trajectory.times, trajectory.states)
@@ -88,7 +88,7 @@ def score(data, fraction: float, fit, solver_steps: int) -> ForecastResult:
 
 
 def forecast(variant: str, data, spec: SplitSpec, config: TrainConfig) -> ForecastResult:
-    """Fit on the training partition, then solve across the full span.
+    """Fit on the training partition, then solve over tau in [0, 1].
 
     This is one cell of the path `run-all` takes; the cell's failure is
     raised.

@@ -84,10 +84,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "TrainingError",
-    "DEFAULT_NEURAL_ODE_HIDDEN",
-    "DEFAULT_UDE_HIDDEN",
-    "DEFAULT_NEURAL_ODE_SCHEDULE",
-    "DEFAULT_UDE_SCHEDULE",
     "rhs",
     "solve",
     "make_loss_fn",
@@ -100,12 +96,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-DEFAULT_NEURAL_ODE_HIDDEN = (128, 128, 64, 64)
-DEFAULT_UDE_HIDDEN = (10, 10)
-DEFAULT_NEURAL_ODE_SCHEDULE = ((0.01, 500),)
-DEFAULT_UDE_SCHEDULE = ((0.01, 1000), (0.005, 1000), (0.001, 500))
-
 
 @dataclass(frozen=True)
 class GompertzModel:
@@ -183,8 +173,8 @@ class UDEModel(_NetworkModel):
 
 DynamicsModel = GompertzModel | NeuralODEModel | UDEModel
 
-# trainable variant name -> (class, network count, default hidden widths)
-_TRAINABLE = {"neural_ode": (NeuralODEModel, 1, DEFAULT_NEURAL_ODE_HIDDEN), "ude": (UDEModel, 2, DEFAULT_UDE_HIDDEN)}
+# trainable variant name -> (class, network count)
+_TRAINABLE = {"neural_ode": (NeuralODEModel, 1), "ude": (UDEModel, 2)}
 
 
 def _trainable(model):
@@ -200,7 +190,8 @@ class TrainConfig:
 
     `schedule` is a sequence of (learning_rate, epochs) stages run back to
     back; Adam moments are reset at each stage boundary. `hidden` of None
-    picks the variant default.
+    picks the variant default, the widths of `neural_ode_defaults` or
+    `ude_defaults`.
     """
 
     schedule: tuple[tuple[float, int], ...]
@@ -226,16 +217,12 @@ class TrainConfig:
             raise ValueError(f"solver_steps must be >= 1, got {self.solver_steps}")
 
     @classmethod
-    def neural_ode_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(schedule=DEFAULT_NEURAL_ODE_SCHEDULE, hidden=DEFAULT_NEURAL_ODE_HIDDEN)
-        base.update(overrides)
-        return cls(**base)
+    def neural_ode_defaults(cls) -> "TrainConfig":
+        return cls(schedule=((0.01, 500),), hidden=(128, 128, 64, 64))
 
     @classmethod
-    def ude_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(schedule=DEFAULT_UDE_SCHEDULE, hidden=DEFAULT_UDE_HIDDEN)
-        base.update(overrides)
-        return cls(**base)
+    def ude_defaults(cls) -> "TrainConfig":
+        return cls(schedule=((0.01, 1000), (0.005, 1000), (0.001, 500)), hidden=(10, 10))
 
 
 @dataclass(frozen=True)
@@ -509,8 +496,9 @@ def init_model(variant: str, config: TrainConfig) -> DynamicsModel:
     """Seeded Glorot initialization; UDE networks share one xoshiro stream."""
     if variant not in _TRAINABLE:
         raise ValueError(f"unknown trainable variant {variant!r} (expected 'neural_ode' or 'ude')")
-    cls, n_nets, default_hidden = _TRAINABLE[variant]
-    arch = MLPArch((1, *(config.hidden if config.hidden is not None else default_hidden), 1))
+    cls, n_nets = _TRAINABLE[variant]
+    defaults = TrainConfig.neural_ode_defaults if variant == "neural_ode" else TrainConfig.ude_defaults
+    arch = MLPArch((1, *(config.hidden if config.hidden is not None else defaults().hidden), 1))
     rng = Xoshiro256StarStar(config.seed)
     return cls(*(init_params_from_stream(arch, rng) for _ in range(n_nets)))
 
@@ -649,7 +637,7 @@ def load_model(path) -> DynamicsModel:
         raise ValueError(f"unknown variant {variant!r} in checkpoint")
     if blob.get("time_input", False) is not False:
         raise ValueError(f"time_input must be false (models are autonomous), got {blob['time_input']!r}")
-    cls, n_nets, _ = _TRAINABLE[variant]
+    cls, n_nets = _TRAINABLE[variant]
     networks = blob.get("networks")
     if not (isinstance(networks, list) and len(networks) == n_nets):
         raise ValueError(f"a {variant} checkpoint needs {n_nets} networks")

@@ -33,7 +33,6 @@ __all__ = [
     "build_design_matrix",
     "sparse_regress",
     "format_expression",
-    "recover",
 ]
 
 
@@ -227,20 +226,3 @@ def format_expression(fit: SparseFit, basis: BasisSet) -> str:
     if not parts:
         return "dV/dt ≈ 0"
     return "dV/dt ≈ " + " ".join(parts)
-
-
-def recover(
-    model: DynamicsModel,
-    norm_map: NormalizationMap,
-    basis: BasisSet,
-    v0: float,
-    *,
-    n_samples: int,
-    solver_steps: int,
-) -> tuple[SparseFit, str]:
-    """Sample, regress at `default_lambda`, and format at 3 significant
-    figures in one step; returns (fit, expression)."""
-    samples = sample_physical_derivatives(model, norm_map, n_samples, v0, solver_steps=solver_steps)
-    Phi, y = build_design_matrix(samples, basis)
-    fit = sparse_regress(Phi, y)
-    return fit, format_expression(fit, basis)

@@ -182,6 +182,29 @@ def test_diverging_cell_fails_alone(variant, monkeypatch, tmp_path):
         assert suite == cell_table(tmp_path / "solo", fraction, alone, cfg)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_final_loss_fails_its_member_alone(variant, monkeypatch):
+    data, _, _ = make_collocation_data(21)
+    parts = [data[:11], data[:15], data]
+    cfg = config()
+    solo = [train(variant, part, cfg) for part in parts]
+    real = models._CollocationLoss.values
+
+    def poisoned(self, thetas):
+        # only the final evaluation takes values: the 15-point member's reads NaN
+        return [math.nan if len(grid.targets) == 15 else v for grid, v in zip(self.grids, real(self, thetas))]
+
+    monkeypatch.setattr(models._CollocationLoss, "values", poisoned)
+    first, failed, last = train_batch(variant, parts, cfg)
+    assert isinstance(failed, TrainingError)
+    assert str(failed) == f"{variant} training produced a non-finite final loss"
+    assert failed.__cause__ is None  # the finite-check's failure, not a diverging solve's
+    report = solo[1][1]
+    assert bits([failed.initial_loss, *failed.history]) == bits([report.initial_loss, *report.loss_history[:-1]])
+    assert_same_fit(first, solo[0])
+    assert_same_fit(last, solo[2])
+
+
 def test_initialization_is_drawn_once_per_batch(monkeypatch):
     calls = []
     real = models.init_model

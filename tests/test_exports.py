@@ -14,6 +14,26 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def top_level_definitions(source: str) -> set[str]:
+    """Names a module binds at its top level by a `def`, a `class` or an assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_defined_in_its_module(name):
+    # an import listed in `__all__` would count one object as two public names
+    module = importlib.import_module(f"tumordyn.{name}")
+    defined = top_level_definitions((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    assert [n for n in module.__all__ if n not in defined] == []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names the module imports but neither uses nor lists in `__all__`."""
     tree = ast.parse(source)

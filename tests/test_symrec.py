@@ -13,7 +13,6 @@ from tumordyn.symrec import (
     build_design_matrix,
     default_lambda,
     format_expression,
-    recover,
     sample_physical_derivatives,
     sparse_regress,
 )
@@ -316,11 +315,3 @@ class TestFormatExpression:
         basis = BasisSet(K=900.5)
         fit = SparseFit(beta=np.array([0.0, 1.0, 0.0, 0.0]), active_set=(2,), residual_norm=0.0, lam=0.0)
         assert "log(900.5/V)" in format_expression(fit, basis)
-
-
-class TestRecoverDriver:
-    def test_end_to_end_on_gompertz(self):
-        fit, expression = recover(NORM_MODEL, MAP_10_DAYS, BASIS, v0=50.0 / 1200.0, n_samples=101, solver_steps=100)
-        assert expression.startswith("dV/dt ≈ ")
-        assert "V*log(1200/V)" in expression
-        assert fit.beta.shape == (4,)
